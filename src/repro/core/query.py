@@ -8,9 +8,9 @@ q is outside the (α,β)-core). They differ in what they must touch:
 * ``q_bicore`` (Q_v over I_v, Liu et al. [15]) — index gives the core's
   *vertex set*; the community's edges must be recovered by semi-joining the
   full edge list (touches all of E once).
-* ``q_bs`` (over I_bs^α / I_bs^β) — filter the α (β) partition by
-  ``off >= β`` (``off >= α``), BFS from q. Optimal per the paper, but the
-  index behind it is O(α_max·m).
+* ``q_bs`` (over I_bs^α / I_bs^β) — filter the α partition by
+  ``off >= β`` (α <= β) or the β partition by ``off >= α``, BFS from q.
+  Optimal per the paper, but the index behind it is O(α_max·m).
 * ``q_opt`` (Q_opt over I_δ) — pick side by min(α,β), filter one τ
   partition, BFS from q. Optimal with an O(δ·m) index.
 """
@@ -50,14 +50,24 @@ def q_bs(
     alpha: int,
     beta: int,
 ) -> DataFrame:
-    """Retrieval over the basic indexes (either part answers any query; use
-    the α part, falling back to the β part only if the α slice is capped)."""
-    sub = ibs_alpha.where(
-        (F.col("alpha") == alpha)
-        & (F.col("off_u") >= beta)
-        & (F.col("off_v") >= beta)
-    ).select("u", "v", "w")
-    return component_of(sub, q, qside)
+    """Retrieval over the basic indexes. Like ``q_opt``, read the slice of
+    the smaller of α, β (the α part when α <= β); when that part lacks the
+    slice (a capped build), read the other part's slice instead. Raises
+    ``ValueError`` when neither part holds its slice: both builds were
+    capped below the query, or both α and β exceed their side's maximum
+    (the (α,β)-core is empty)."""
+    parts = [(ibs_alpha, "alpha", alpha, beta), (ibs_beta, "beta", beta, alpha)]
+    if beta < alpha:
+        parts.reverse()
+    for idx, col, s, lo in parts:
+        sl = idx.where(F.col(col) == s)
+        if sl.limit(1).count():
+            sub = sl.where((F.col("off_u") >= lo) & (F.col("off_v") >= lo))
+            return component_of(sub.select("u", "v", "w"), q, qside)
+    raise ValueError(
+        f"neither I_bs part holds the slice of ({alpha},{beta}): both builds "
+        "were capped below it, or the (α,β)-core is empty"
+    )
 
 
 def q_opt(

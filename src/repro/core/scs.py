@@ -1,109 +1,120 @@
 """Significant (α,β)-community search: SCS-Peel, SCS-Expand, SCS-Baseline.
 
-All three compute the unique ``R`` of Definition 5. The dataflow
-formulation rests on the weight-threshold identity (validated against the
-literal sequential Algorithm 4 in tests):
+All three compute the unique ``R`` of Definition 5. Step 1 of the paper
+(retrieving ``C_αβ(q)`` through an index) runs in Spark
+(``repro.core.query``). Step 2 runs here, on the driver: each entry point
+collects its search space once — the community for ``scs_peel`` and
+``scs_expand``, q's component of the whole graph for ``scs_baseline`` —
+runs a sequential kernel over those rows and returns ``R`` as an edge
+DataFrame. A search therefore costs one collect plus driver work in
+proportion to the size of its search space, not one Spark barrier per
+weight threshold. The search space is a subgraph of a graph that is itself
+built in driver memory (``repro.datasets``), so it always fits there.
 
-    once SCS-Peel has consumed every weight < w, the surviving graph is
-    exactly ``abcore(C_{>=w}, α, β)``; therefore
-    ``f(R) = w* = max{ w ∈ W : q ∈ abcore(C_{>=w}) }`` (W = distinct
-    weights of C_αβ(q)) and ``R`` is q's BFS component in that core.
+* ``peel_kernel`` — Alg. 4 (SCS-Peel) literally: sort the edges by weight
+  once, remove each distinct-weight batch followed by a degree-driven
+  cascade that removes every edge at most once, and record the batch that
+  removed each edge. When q drops out in batch ``b``, the graph at the
+  start of ``b`` (the edges removed in ``b`` or later) is an (α,β)-core
+  containing q, and ``R`` is q's component in it. O(m log m).
+* ``expand_kernel`` — Alg. 5 (SCS-Expand): insert edges by descending
+  weight, one whole tie batch at a time, into a union-find that counts
+  edges and vertices per component. Only at the ε=2 rungs of
+  ``_expand_ladder`` does it test q's component ``C*``: Lemma 7 from the
+  union-find counters, Lemma 8 from the degrees inside ``C*``, then a peel
+  of ``C*``. The first rung where q survives the peel holds ``R``, which
+  ``peel_kernel`` on ``C*`` returns. Each check costs O(size(C*)), and the
+  rungs double the inserted edge count, so the checks cost O(size(C)).
+* ``scs_baseline`` — the same expansion over q's component of the whole
+  graph (no step-1 community): cost anchored to size(G).
 
-A literal per-distinct-weight loop is not expressible efficiently as a
-bulk-synchronous dataflow (one barrier per distinct weight), so each
-algorithm walks the threshold ladder the way its sequential counterpart
-walks the edge ranking — preserving each algorithm's cost anchor
-(DESIGN.md §2):
+With all weights equal every kernel returns q's component of the
+(α,β)-core: the first batch removes every edge.
 
-* ``scs_peel``    — ascending gallop from w_min: probes 1, 2, 4, … steps up
-  the ladder, then binary-refines. Early probes peel nearly all of
-  ``C_αβ(q)``, so cost is anchored to size(C) — like the sequential peel.
-* ``scs_expand``  — descending with the paper's ε=2 growth rule: candidate
-  thresholds are chosen so the prefix edge count roughly doubles; each
-  candidate builds the connected component ``C*`` of q, applies the
-  Lemma 7 / Lemma 8 pre-checks (plus a free edge-count bound from the
-  weight histogram, so early rungs cost zero Spark jobs), and only then
-  peels. Cost is anchored to size(R).
-* ``scs_baseline`` — the same expansion but over q's component of the WHOLE
-  graph, no step-1 community: cost anchored to size(G).
-
-Equal-weight short-circuit (paper Section IV): if every edge weight in the
-search space is identical, the community itself is returned unchanged.
+The entry points reject α < 1, β < 1, a side other than ``u``/``v`` and
+non-finite weights with ``ValueError``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from itertools import groupby
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.graph.components import component_of
-from repro.graph.peel import abcore
-from repro.graph.schema import checkpoint, degrees, has_vertex
+from repro.graph.schema import EDGE_SCHEMA
+# Unused here; perfbench/layers.py looks up scs.has_vertex by name to trace it.
+from repro.graph.schema import has_vertex  # noqa: F401
+
+Edge = tuple[int, int, float]
+_Vertex = tuple[str, int]  # (side, id)
 
 
-@dataclass(frozen=True)
-class _Params:
-    q: int
-    qside: str
-    alpha: int
-    beta: int
+def _ends(e: Edge) -> tuple[_Vertex, _Vertex]:
+    return ("u", e[0]), ("v", e[1])
 
 
-def _distinct_weight_hist(c: DataFrame) -> list[tuple[float, int]]:
-    """Ascending ``(weight, edge_count)`` histogram of the search space."""
-    rows = c.groupBy("w").agg(F.count(F.lit(1)).alias("n")).collect()
-    return sorted((float(r["w"]), int(r["n"])) for r in rows)
+def _component(
+    edges: list[Edge], inc: dict[_Vertex, list[int]], q: _Vertex, keep=None
+) -> list[Edge]:
+    """Edges of q's connected component, over the edges ``i`` listed in
+    ``inc`` for which ``keep(i)`` holds (all of them when ``keep`` is None)."""
+    seen, stack, out = {q}, [q], set()
+    while stack:
+        for i in inc.get(stack.pop(), ()):
+            if i in out or (keep is not None and not keep(i)):
+                continue
+            out.add(i)
+            for y in _ends(edges[i]):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return [edges[i] for i in sorted(out)]
 
 
-def _feasible_core(c: DataFrame, p: _Params, w: float) -> DataFrame | None:
-    """``abcore(C_{>=w})`` if q survives in it, else None."""
-    core = abcore(c.where(F.col("w") >= w), p.alpha, p.beta)
-    return core if has_vertex(core, p.q, p.qside) else None
+def peel_kernel(
+    edges: list[Edge], q: int, qside: str, alpha: int, beta: int
+) -> list[Edge]:
+    """SCS-Peel (paper Alg. 4) over an edge list; ``[]`` when q is not in
+    its (α,β)-core."""
+    need = {"u": alpha, "v": beta}
+    inc: dict[_Vertex, list[int]] = defaultdict(list)
+    for i, e in enumerate(edges):
+        for x in _ends(e):
+            inc[x].append(i)
+    deg = {x: len(ids) for x, ids in inc.items()}
+    removed_in: list[int | None] = [None] * len(edges)
 
+    def drop(i: int, batch: int, dying: list[_Vertex]) -> None:
+        removed_in[i] = batch
+        for x in _ends(edges[i]):
+            deg[x] -= 1
+            if deg[x] == need[x[0]] - 1:  # fell below its bound just now
+                dying.append(x)
 
-def _binary_refine(
-    c: DataFrame,
-    p: _Params,
-    ws: list[float],
-    lo: int,
-    lo_core: DataFrame,
-    hi: int,
-) -> DataFrame:
-    """Max-feasible search: ws[lo] feasible (with its core), ws[hi]
-    infeasible (hi == len(ws) acts as +inf). Returns the core at w*."""
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        core = _feasible_core(c, p, ws[mid])
-        if core is not None:
-            lo, lo_core = mid, core
-        else:
-            hi = mid
-    return lo_core
+    def cascade(dying: list[_Vertex], batch: int) -> None:
+        while dying:
+            for i in inc[dying.pop()]:
+                if removed_in[i] is None:
+                    drop(i, batch, dying)
 
-
-def scs_peel(
-    community: DataFrame, q: int, qside: str, alpha: int, beta: int
-) -> DataFrame:
-    """SCS-Peel (paper Alg. 4) given ``C_αβ(q)`` (e.g. from ``q_opt``)."""
-    p = _Params(q, qside, alpha, beta)
-    hist = _distinct_weight_hist(community)
-    if len(hist) <= 1:
-        return community  # empty, or all weights equal: C is already R
-    ws = [w for w, _ in hist]
-    c = checkpoint(community)
-    # ws[0] is always feasible: C itself is an (α,β)-core containing q.
-    lo, lo_core, hi, step = 0, c, len(ws), 1
-    while lo + step < len(ws):
-        j = lo + step
-        core = _feasible_core(c, p, ws[j])
-        if core is None:
-            hi = j
-            break
-        lo, lo_core, step = j, core, step * 2
-    core = _binary_refine(c, p, ws, lo, lo_core, hi)
-    return component_of(core, q, qside)
+    qk = (qside, q)
+    cascade([x for x, d in deg.items() if d < need[x[0]]], -1)  # to the core
+    if deg.get(qk, 0) < need[qside]:
+        return []
+    order = sorted(range(len(edges)), key=lambda i: edges[i][2])
+    for b, (_, batch) in enumerate(groupby(order, key=lambda i: edges[i][2])):
+        dying: list[_Vertex] = []
+        for i in batch:
+            if removed_in[i] is None:
+                drop(i, b, dying)
+        cascade(dying, b)
+        if deg[qk] < need[qside]:
+            return _component(
+                edges, inc, qk, lambda i: removed_in[i] is None or removed_in[i] >= b
+            )
+    raise AssertionError("q survived its last incident edge")  # unreachable
 
 
 def _lemma7_ok(m: int, n_u: int, n_l: int, alpha: int, beta: int) -> bool:
@@ -111,28 +122,16 @@ def _lemma7_ok(m: int, n_u: int, n_l: int, alpha: int, beta: int) -> bool:
     return alpha * beta - alpha - beta <= m - n_u - n_l
 
 
-def _lemma8_ok(cstar: DataFrame, p: _Params) -> bool:
+def _lemma8_ok(cstar: list[Edge], q: _Vertex, alpha: int, beta: int) -> bool:
     """Lemma 8: C* must contain >= β U-vertices of degree >= α and >= α
-    L-vertices of degree >= β, with q among the qualifying vertices.
-    Evaluated in a single aggregation over both degree tables."""
-    du, dv = degrees(cstar)
-    verts = du.select(
-        F.lit("u").alias("s"), F.col("u").alias("id"), "deg"
-    ).unionByName(dv.select(F.lit("v").alias("s"), F.col("v").alias("id"), "deg"))
-    one = F.lit(1)
-    row = verts.agg(
-        F.sum(F.when((F.col("s") == "u") & (F.col("deg") >= p.alpha), one)).alias("gu"),
-        F.sum(F.when((F.col("s") == "v") & (F.col("deg") >= p.beta), one)).alias("gv"),
-        F.max(
-            F.when((F.col("s") == p.qside) & (F.col("id") == p.q), F.col("deg"))
-        ).alias("qdeg"),
-    ).first()
-    q_min = p.alpha if p.qside == "u" else p.beta
+    L-vertices of degree >= β, with q among the qualifying vertices."""
+    du = Counter(u for u, _, _ in cstar)
+    dv = Counter(v for _, v, _ in cstar)
+    qdeg, q_min = (du, alpha) if q[0] == "u" else (dv, beta)
     return (
-        (row["gu"] or 0) >= p.beta
-        and (row["gv"] or 0) >= p.alpha
-        and row["qdeg"] is not None
-        and row["qdeg"] >= q_min
+        sum(d >= alpha for d in du.values()) >= beta
+        and sum(d >= beta for d in dv.values()) >= alpha
+        and qdeg[q[1]] >= q_min
     )
 
 
@@ -152,80 +151,85 @@ def _expand_ladder(hist: list[tuple[float, int]], eps: float) -> list[int]:
     return ladder
 
 
-def _expand_search(
-    c: DataFrame, p: _Params, *, eps: float, require_exists: bool
-) -> DataFrame:
-    """Shared descending-expansion engine over search space ``c``.
+def expand_kernel(
+    edges: list[Edge], q: int, qside: str, alpha: int, beta: int, *, eps: float = 2.0
+) -> list[Edge]:
+    """SCS-Expand (paper Alg. 5) over an edge list; ``[]`` when q is not in
+    its (α,β)-core."""
+    if not edges:
+        return []
+    qk = (qside, q)
+    hist = [(w, len(list(g))) for w, g in groupby(sorted(e[2] for e in edges))]
+    order = sorted(edges, key=lambda e: e[2], reverse=True)
+    inserted: list[Edge] = []
+    inc: dict[_Vertex, list[int]] = defaultdict(list)
+    parent: dict[_Vertex, _Vertex] = {}
+    counts: dict[_Vertex, list[int]] = {}  # root -> [|E|, |U|, |L|]
 
-    ``require_exists=False`` (baseline) allows the case where no feasible
-    threshold exists at all (q not in any (α,β)-core of its component);
-    the community-based callers know the bottom rung is feasible.
-    """
-    spark = c.sparkSession
-    hist = _distinct_weight_hist(c)
-    ws = [w for w, _ in hist]
-    if not hist:
-        return c
-    if len(hist) == 1:
-        core = abcore(c, p.alpha, p.beta)
-        return component_of(core, p.q, p.qside)
-    c = checkpoint(c)
-    # Free pruning bound: q's maximum incident weight (one tiny job) — rungs
-    # above it cannot contain q at all.
-    qcol = "u" if p.qside == "u" else "v"
-    row = c.where(F.col(qcol) == p.q).agg(F.max("w")).first()
-    q_wmax = float(row[0]) if row and row[0] is not None else -math.inf
-    # Minimum edges any C* hosting R must have (from Lemma 7's proof).
-    min_edges = max(
-        p.alpha * p.beta - p.alpha - p.beta + 2, max(p.alpha, p.beta), 1
-    )
+    def find(x: _Vertex) -> _Vertex:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-    # Every pruning rule below except the ε-growth skip is a *necessary*
-    # condition for feasibility at its threshold (if q were in the core of
-    # the prefix, its core component K ⊆ C* would satisfy the edge-count
-    # bound, incidence, and Lemmas 7/8), so each such skip lowers the
-    # known-infeasible bound `hi` — keeping the final binary-refine bracket
-    # tight without extra Spark work.
-    lo, lo_core, hi = None, None, len(ws)
-    prev_checked = 0
-    cum = 0
-    cums: dict[int, int] = {}
-    for i in range(len(hist) - 1, -1, -1):
-        cum += hist[i][1]
-        cums[i] = cum
+    def insert(e: Edge) -> None:
+        roots = []
+        for x in _ends(e):
+            inc[x].append(len(inserted))
+            if x not in parent:
+                parent[x] = x
+                counts[x] = [0, int(x[0] == "u"), int(x[0] == "v")]
+            roots.append(find(x))
+        inserted.append(e)
+        a, b = roots
+        if a != b:
+            if sum(counts[a]) < sum(counts[b]):
+                a, b = b, a
+            parent[b] = a
+            counts[a] = [x + y for x, y in zip(counts[a], counts.pop(b))]
+        counts[a][0] += 1
+
     for i in _expand_ladder(hist, eps):
-        w = ws[i]
-        if w > q_wmax or cums[i] < min_edges:  # free bounds, no Spark work
-            hi = i
+        while len(inserted) < len(order) and order[len(inserted)][2] >= hist[i][0]:
+            insert(order[len(inserted)])
+        if qk not in parent or not _lemma7_ok(*counts[find(qk)], alpha, beta):
             continue
-        prefix = c.where(F.col("w") >= w)
-        cstar = checkpoint(component_of(prefix, p.q, p.qside))
-        row = cstar.agg(
-            F.count(F.lit(1)).alias("m"),
-            F.countDistinct("u").alias("n_u"),
-            F.countDistinct("v").alias("n_l"),
-        ).first()
-        m, n_u, n_l = int(row["m"]), int(row["n_u"]), int(row["n_l"])
-        if m == 0 or not _lemma7_ok(m, n_u, n_l, p.alpha, p.beta):
-            hi = i
+        cstar = _component(inserted, inc, qk)
+        if not _lemma8_ok(cstar, qk, alpha, beta):
             continue
-        if i != 0 and prev_checked > 0 and m < prev_checked * eps:
-            continue  # ε-growth rule: unknown feasibility — hi must not move
-        if not _lemma8_ok(cstar, p):
-            hi = i
-            continue
-        prev_checked = m
-        core = abcore(cstar, p.alpha, p.beta)
-        if has_vertex(core, p.q, p.qside):
-            lo, lo_core = i, core
-            break
-        hi = i
-    if lo is None:
-        if require_exists:
-            raise AssertionError("community search space had no feasible threshold")
-        return spark.createDataFrame([], c.schema)
-    core = _binary_refine(c, p, ws, lo, lo_core, hi)
-    return component_of(core, p.q, p.qside)
+        r = peel_kernel(cstar, q, qside, alpha, beta)
+        if r:
+            return r
+    return []
+
+
+def _check_params(qside: str, alpha: int, beta: int) -> None:
+    if alpha < 1 or beta < 1:
+        raise ValueError(f"alpha and beta must be >= 1, got ({alpha}, {beta})")
+    if qside not in ("u", "v"):
+        raise ValueError(f"qside must be 'u' or 'v', got {qside!r}")
+
+
+def _collect(df: DataFrame) -> list[Edge]:
+    """The search space on the driver (one Spark action); rejects weights
+    that are null, NaN or infinite."""
+    rows = df.select("u", "v", "w").collect()
+    if any(w is None or not math.isfinite(w) for _, _, w in rows):
+        raise ValueError("edge weights must be finite")
+    return [(int(u), int(v), float(w)) for u, v, w in rows]
+
+
+def _search(space: DataFrame, kernel) -> DataFrame:
+    """``kernel`` run over the collected ``space``, as an edge DataFrame."""
+    return space.sparkSession.createDataFrame(kernel(_collect(space)), EDGE_SCHEMA)
+
+
+def scs_peel(
+    community: DataFrame, q: int, qside: str, alpha: int, beta: int
+) -> DataFrame:
+    """SCS-Peel (paper Alg. 4) given ``C_αβ(q)`` (e.g. from ``q_opt``)."""
+    _check_params(qside, alpha, beta)
+    return _search(community, lambda es: peel_kernel(es, q, qside, alpha, beta))
 
 
 def scs_expand(
@@ -238,8 +242,10 @@ def scs_expand(
     eps: float = 2.0,
 ) -> DataFrame:
     """SCS-Expand (paper Alg. 5) given ``C_αβ(q)``."""
-    p = _Params(q, qside, alpha, beta)
-    return _expand_search(community, p, eps=eps, require_exists=True)
+    _check_params(qside, alpha, beta)
+    return _search(
+        community, lambda es: expand_kernel(es, q, qside, alpha, beta, eps=eps)
+    )
 
 
 def scs_baseline(
@@ -253,6 +259,8 @@ def scs_baseline(
 ) -> DataFrame:
     """SCS-Baseline: expansion from q's component of the WHOLE graph —
     no index, no step-1 restriction (the paper's baseline)."""
-    p = _Params(q, qside, alpha, beta)
-    comp = component_of(edges, q, qside)
-    return _expand_search(comp, p, eps=eps, require_exists=False)
+    _check_params(qside, alpha, beta)
+    return _search(
+        component_of(edges, q, qside),
+        lambda es: expand_kernel(es, q, qside, alpha, beta, eps=eps),
+    )

@@ -47,8 +47,8 @@ def weighted_variants(
 ) -> dict[str, DataFrame]:
     """The dataset's structure under each Table III weight distribution.
 
-    Weights are quantized to ``levels`` distinct values so the SCS threshold
-    ladder stays bounded (DESIGN.md §2).
+    Weights are quantized to ``levels`` distinct values, so every
+    non-equal distribution has ties (one batch each in Alg. 4 and 5).
     """
     cfg = datasets.BY_NAME[dataset]
     pdf = datasets.structure_pdf(cfg)
@@ -67,7 +67,7 @@ def weighted_variants(
             df = df.drop("w").join(
                 rwr_weights(df).select("u", "v", "w"), ["u", "v"]
             )
-            # quantize in-Spark to bound the threshold ladder
+            # quantize in-Spark to ``levels`` values, like UF and SK
             lo, hi = df.agg(F.min("w"), F.max("w")).first()
             span = (hi - lo) or 1.0
             df = df.withColumn(

@@ -47,9 +47,13 @@ def component_of(
         )
         new_u, new_v = checkpoint(new_u), checkpoint(new_v)
         if new_u.count() + new_v.count() == 0:
+            # Broadcast the reached vertex ids (one component's worth): the
+            # edge filter then needs no shuffle and no runtime bloom filter.
+            # As a shuffle join, collecting a DT community took 7 Spark jobs
+            # instead of 3 and grew the driver's live heap by ~3.5 MB each.
             return edges.join(
-                seen_u.withColumnRenamed("id", "u"), "u", "semi"
-            ).join(seen_v.withColumnRenamed("id", "v"), "v", "semi")
+                F.broadcast(seen_u.withColumnRenamed("id", "u")), "u", "semi"
+            ).join(F.broadcast(seen_v.withColumnRenamed("id", "v")), "v", "semi")
         seen_u = checkpoint(seen_u.union(new_u))
         seen_v = checkpoint(seen_v.union(new_v))
         frontier_u, frontier_v = new_u, new_v

@@ -80,6 +80,23 @@ def test_q_bs(rand_edges, indexed, seed, alpha, beta):
     assert got == _expected(rand_edges[seed], q, alpha, beta)
 
 
+def test_q_bs_capped_alpha_part_reads_beta_part(rand_edges, rand_dfs, indexed):
+    """An α part capped below the query's slice must not answer it: a (2,2)
+    query on ``max_alpha=1`` used to return no edges."""
+    q = _query_vertex(rand_edges[1], 2, 2)
+    capped = build_ibs_alpha(rand_dfs[1], max_alpha=1)
+    got = eset_df(q_bs(capped, indexed[1]["ibs_b"], q, "u", 2, 2))
+    assert got and got == _expected(rand_edges[1], q, 2, 2)
+
+
+def test_q_bs_both_parts_capped_raises(rand_edges, rand_dfs):
+    q = _query_vertex(rand_edges[1], 2, 2)
+    capped_a = build_ibs_alpha(rand_dfs[1], max_alpha=1)
+    capped_b = build_ibs_beta(rand_dfs[1], max_beta=1)
+    with pytest.raises(ValueError, match="neither I_bs part"):
+        q_bs(capped_a, capped_b, q, "u", 2, 2)
+
+
 class TestFig2:
     def test_community_fig2_22(self, fig2_df, fig2_edges):
         got = eset_df(q_online(fig2_df, 3, "u", 2, 2))

@@ -1,5 +1,8 @@
-"""Significant (α,β)-community search: the three Spark algorithms vs the
-literal sequential Algorithm 4, plus model-invariant checks."""
+"""Significant (α,β)-community search: the three entry points vs the
+literal sequential Algorithm 4, plus model-invariant, input-validation and
+Spark job-count checks."""
+import math
+
 import pytest
 from pyspark.sql import functions as F
 
@@ -11,39 +14,53 @@ from repro.core.scs import (
     scs_expand,
     scs_peel,
 )
+from repro.graph.schema import edges_df
 from repro.reference import ref_graph as R
 from repro.reference import ref_scs as RS
-from tests.util import eset, eset_df, wset_df
-
-CASES = [(1, 2, 2), (1, 2, 3), (2, 2, 2), (3, 2, 2), (3, 3, 2)]
+from tests.util import eset, eset_df, rand_bipartite, wset_df
 
 
-def _setup(rand_edges, rand_dfs, seed, alpha, beta):
+def _case(seed, alpha, beta, qside="u"):
+    """One (seed, α, β, qside) case; ``u`` cases keep their ``seed-α-β`` id."""
+    tag = f"{seed}-{alpha}-{beta}" + ("" if qside == "u" else f"-{qside}")
+    return pytest.param(seed, alpha, beta, qside, id=tag)
+
+
+CASES = [
+    _case(1, 2, 2), _case(1, 2, 3), _case(2, 2, 2), _case(3, 2, 2),
+    _case(3, 3, 2), _case(1, 2, 2, "v"), _case(2, 2, 3, "v"),
+    _case(3, 3, 2, "v"),
+]
+
+
+def _setup(rand_edges, rand_dfs, seed, alpha, beta, qside):
     core = R.abcore(rand_edges[seed], alpha, beta)
     if not core:
         pytest.skip("empty core")
-    q = core[0][0]
-    exp = eset(RS.scs_peel(rand_edges[seed], q, "u", alpha, beta))
-    community = q_online(rand_dfs[seed], q, "u", alpha, beta)
+    q = core[0][0 if qside == "u" else 1]
+    exp = eset(RS.scs_peel(rand_edges[seed], q, qside, alpha, beta))
+    community = q_online(rand_dfs[seed], q, qside, alpha, beta)
     return q, exp, community
 
 
-@pytest.mark.parametrize("seed,alpha,beta", CASES)
-def test_scs_peel_matches_reference(rand_edges, rand_dfs, seed, alpha, beta):
-    q, exp, community = _setup(rand_edges, rand_dfs, seed, alpha, beta)
-    assert eset_df(scs_peel(community, q, "u", alpha, beta)) == exp
+@pytest.mark.parametrize("seed,alpha,beta,qside", CASES)
+def test_scs_peel_matches_reference(rand_edges, rand_dfs, seed, alpha, beta, qside):
+    q, exp, community = _setup(rand_edges, rand_dfs, seed, alpha, beta, qside)
+    assert eset_df(scs_peel(community, q, qside, alpha, beta)) == exp
 
 
-@pytest.mark.parametrize("seed,alpha,beta", CASES)
-def test_scs_expand_matches_reference(rand_edges, rand_dfs, seed, alpha, beta):
-    q, exp, community = _setup(rand_edges, rand_dfs, seed, alpha, beta)
-    assert eset_df(scs_expand(community, q, "u", alpha, beta)) == exp
+@pytest.mark.parametrize("seed,alpha,beta,qside", CASES)
+def test_scs_expand_matches_reference(rand_edges, rand_dfs, seed, alpha, beta, qside):
+    q, exp, community = _setup(rand_edges, rand_dfs, seed, alpha, beta, qside)
+    assert eset_df(scs_expand(community, q, qside, alpha, beta)) == exp
 
 
-@pytest.mark.parametrize("seed,alpha,beta", CASES[:3])
-def test_scs_baseline_matches_reference(rand_edges, rand_dfs, seed, alpha, beta):
-    q, exp, _ = _setup(rand_edges, rand_dfs, seed, alpha, beta)
-    assert eset_df(scs_baseline(rand_dfs[seed], q, "u", alpha, beta)) == exp
+@pytest.mark.parametrize("seed,alpha,beta,qside", CASES[:3] + CASES[5:6])
+def test_scs_baseline_matches_reference(
+    rand_edges, rand_dfs, seed, alpha, beta, qside
+):
+    q, exp, _ = _setup(rand_edges, rand_dfs, seed, alpha, beta, qside)
+    assert eset_df(scs_baseline(rand_dfs[seed], q, qside, alpha, beta)) == exp
 
 
 class TestFig2:
@@ -135,3 +152,55 @@ class TestHelpers:
         hist = [(float(w), w) for w in range(1, 31)]
         ladder = _expand_ladder(hist, 2.0)
         assert ladder == sorted(ladder, reverse=True)
+
+
+SEARCHES = [scs_peel, scs_expand, scs_baseline]
+
+
+class TestValidation:
+    """Bad input fails loudly at every entry point."""
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_alpha_below_one(self, fig2_df, search):
+        with pytest.raises(ValueError, match="alpha and beta"):
+            search(fig2_df, 3, "u", 0, 2)
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_beta_below_one(self, fig2_df, search):
+        with pytest.raises(ValueError, match="alpha and beta"):
+            search(fig2_df, 3, "u", 2, 0)
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_unknown_side(self, fig2_df, search):
+        with pytest.raises(ValueError, match="qside"):
+            search(fig2_df, 3, "x", 2, 2)
+
+    @pytest.mark.parametrize("search", SEARCHES)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weight(self, spark, fig2_edges, search, bad):
+        df = edges_df(spark, fig2_edges[:-1] + [(3, 1, bad)])
+        with pytest.raises(ValueError, match="finite"):
+            search(df, 3, "u", 2, 2)
+
+
+@pytest.mark.parametrize("search", [scs_peel, scs_expand])
+def test_job_count_independent_of_distinct_weights(spark, search):
+    """A search submits the same Spark jobs whatever the number of distinct
+    weights in C: the weight ladder is walked on the driver."""
+    sc = spark.sparkContext
+    edges = rand_bipartite(7, n_u=10, n_l=10, m=90)
+    core = R.abcore(edges, 3, 3)
+    q = core[0][0]
+    jobs = []
+    for levels in (2, 50):
+        weighted = [(u, v, float(1 + i % levels)) for i, (u, v, _) in enumerate(core)]
+        community = edges_df(spark, weighted)
+        group = f"scs-jobs-{search.__name__}-{levels}"
+        sc.setLocalProperty("spark.jobGroup.id", group)
+        try:
+            r = search(community, q, "u", 3, 3).collect()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert {(x.u, x.v) for x in r} == eset(RS.scs_peel(weighted, q, "u", 3, 3))
+        jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
+    assert jobs[0] == jobs[1] > 0
