@@ -8,8 +8,9 @@ extra-edge-touching cost the paper's ``I_δ`` eliminates.
 Our analogue stores vertex offsets only, degeneracy-bounded like the
 original (O(m)-ish): rows ``(kind, tau, side, id, off)`` where kind ``a``
 holds ``s_a(·,τ) >= τ`` and kind ``b`` holds ``s_b(·,τ) > τ`` for
-τ in [1, δ]. ``V(R_αβ) = {x : s_a(x,α) >= β}`` (α <= β) or the symmetric
-β-side lookup.
+τ in [1, δ]. This is the only place the δ-slice offset fixpoints run:
+``I_δ`` is ``I_v`` joined onto the edge list (``repro.core.index_delta``).
+Both indexes are read through :func:`slice_of`.
 """
 from __future__ import annotations
 
@@ -17,6 +18,15 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graph.decomposition import alpha_offsets, beta_offsets, coreness, delta
+
+
+def slice_of(alpha: int, beta: int) -> tuple[str, int, int]:
+    """The slice that serves an (α,β) query: ``(part, τ, bound)``.
+
+    Part ``a`` at τ=α when α <= β, else part ``b`` at τ=β; the vertices of
+    ``R_αβ`` are those of the slice with offset ``>= bound`` (the other of
+    α, β). Every non-empty (α,β)-core has min(α,β) <= δ (Lemma 4)."""
+    return ("a", alpha, beta) if alpha <= beta else ("b", beta, alpha)
 
 
 def build_iv(edges: DataFrame, *, delta_val: int | None = None) -> DataFrame:
@@ -40,10 +50,7 @@ def build_iv(edges: DataFrame, *, delta_val: int | None = None) -> DataFrame:
 
 def core_vertices(iv: DataFrame, alpha: int, beta: int) -> DataFrame:
     """``V(R_αβ)`` as ``(side, id)`` via the index (empty if min(α,β) > δ)."""
-    if alpha <= beta:
-        return iv.where(
-            (F.col("kind") == "a") & (F.col("tau") == alpha) & (F.col("off") >= beta)
-        ).select("side", "id")
+    part, tau, bound = slice_of(alpha, beta)
     return iv.where(
-        (F.col("kind") == "b") & (F.col("tau") == beta) & (F.col("off") >= alpha)
+        (F.col("kind") == part) & (F.col("tau") == tau) & (F.col("off") >= bound)
     ).select("side", "id")

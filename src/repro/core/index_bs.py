@@ -24,18 +24,19 @@ from pyspark.sql import functions as F
 from repro.graph.decomposition import alpha_max, alpha_offsets, beta_max, beta_offsets
 
 
-def _annotate(edges: DataFrame, offs: DataFrame, slice_col: str) -> DataFrame:
-    """Join per-(slice, vertex) offsets onto the edge list for every slice."""
+def _annotate(edges: DataFrame, offs: DataFrame, keys: list[str]) -> DataFrame:
+    """Join per-(slice, vertex) offsets onto the edge list for every slice;
+    ``keys`` are the slice columns of ``offs``."""
     off_u = offs.where(F.col("side") == "u").select(
-        slice_col, F.col("id").alias("u"), F.col("off").alias("off_u")
+        *keys, F.col("id").alias("u"), F.col("off").alias("off_u")
     )
     off_v = offs.where(F.col("side") == "v").select(
-        slice_col, F.col("id").alias("v"), F.col("off").alias("off_v")
+        *keys, F.col("id").alias("v"), F.col("off").alias("off_v")
     )
     return (
         edges.join(off_u, "u")
-        .join(off_v, [slice_col, "v"])
-        .select(slice_col, "u", "v", "w", "off_u", "off_v")
+        .join(off_v, [*keys, "v"])
+        .select(*keys, "u", "v", "w", "off_u", "off_v")
     )
 
 
@@ -46,7 +47,7 @@ def build_ibs_alpha(edges: DataFrame, *, max_alpha: int | None = None) -> DataFr
     if max_alpha is not None:
         am = min(am, max_alpha)
     offs = alpha_offsets(edges, range(1, am + 1))
-    out = _annotate(edges, offs, "alpha")
+    out = _annotate(edges, offs, ["alpha"])
     return out.where((F.col("off_u") >= 1) & (F.col("off_v") >= 1))
 
 
@@ -56,7 +57,7 @@ def build_ibs_beta(edges: DataFrame, *, max_beta: int | None = None) -> DataFram
     if max_beta is not None:
         bm = min(bm, max_beta)
     offs = beta_offsets(edges, range(1, bm + 1))
-    out = _annotate(edges, offs, "beta")
+    out = _annotate(edges, offs, ["beta"])
     return out.where((F.col("off_u") >= 1) & (F.col("off_v") >= 1))
 
 

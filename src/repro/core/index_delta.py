@@ -8,58 +8,42 @@ Two parts, each with slices τ in [1, δ]:
   have β-offset ``s_b(·,τ) > τ`` (strict, mirroring the paper's bound — a
   query on this side always filters ``>= α > τ``).
 
-Rows are ``(side, tau, u, v, w, off_u, off_v)``. Since every non-empty
-(α,β)-core has min(α,β) <= δ (Lemma 4), these 2δ slices cover every
-(α,β)-community; each slice is O(size(R_ττ)) so the index is O(δ·m)
-(Lemma 5), built from two δ-slice offset fixpoints (Lemma 6's O(δ·m) bound).
+Those endpoint sets are exactly the slices of the bicore index ``I_v``, so
+``I_δ = I_v ⋈ E``: each edge of a slice carries both endpoints' offsets from
+``I_v``. Rows are ``(side, tau, u, v, w, off_u, off_v)``. Since every
+non-empty (α,β)-core has min(α,β) <= δ (Lemma 4), these 2δ slices cover
+every (α,β)-community; each slice is O(size(R_ττ)) so the index is O(δ·m)
+(Lemma 5), built from ``I_v``'s two δ-slice offset fixpoints (Lemma 6's
+O(δ·m) bound).
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.decomposition import alpha_offsets, beta_offsets, coreness, delta
+from repro.core.index_bicore import build_iv, slice_of
+from repro.core.index_bs import _annotate
 
 
 def build_idelta(edges: DataFrame, *, delta_val: int | None = None) -> DataFrame:
     """Construct ``I_δ`` as a single DataFrame (see module doc for schema)."""
-    d = delta_val if delta_val is not None else delta(edges, coreness_df=coreness(edges))
-    spark = edges.sparkSession
-    schema = "side string, tau int, u long, v long, w double, off_u int, off_v int"
-    if d == 0:
-        return spark.createDataFrame([], schema)
-    taus = range(1, d + 1)
-
-    sa = alpha_offsets(edges, taus)
-    side_a = (
-        _annotate(edges, sa, "alpha")
-        .where((F.col("off_u") >= F.col("alpha")) & (F.col("off_v") >= F.col("alpha")))
-        .select(
-            F.lit("a").alias("side"), F.col("alpha").alias("tau"),
-            "u", "v", "w", "off_u", "off_v",
-        )
+    iv = build_iv(edges, delta_val=delta_val)
+    # One join per part: annotating both parts in one join wrote up to twice
+    # the Parquet files of a saved index.
+    side_a, side_b = (
+        _annotate(edges, iv.where(F.col("kind") == part), ["kind", "tau"])
+        for part in ("a", "b")
     )
-    sb = beta_offsets(edges, taus)
-    side_b = (
-        _annotate(edges, sb, "beta")
-        .where((F.col("off_u") > F.col("beta")) & (F.col("off_v") > F.col("beta")))
-        .select(
-            F.lit("b").alias("side"), F.col("beta").alias("tau"),
-            "u", "v", "w", "off_u", "off_v",
-        )
-    )
-    return side_a.unionByName(side_b)
+    return side_a.unionByName(side_b).withColumnRenamed("kind", "side")
 
 
-def _annotate(edges: DataFrame, offs: DataFrame, slice_col: str) -> DataFrame:
-    off_u = offs.where(F.col("side") == "u").select(
-        slice_col, F.col("id").alias("u"), F.col("off").alias("off_u")
-    )
-    off_v = offs.where(F.col("side") == "v").select(
-        slice_col, F.col("id").alias("v"), F.col("off").alias("off_v")
-    )
-    return (
-        edges.join(off_u, "u")
-        .join(off_v, [slice_col, "v"])
-        .select(slice_col, "u", "v", "w", "off_u", "off_v")
+def core_edges(idelta: DataFrame, alpha: int, beta: int) -> DataFrame:
+    """``E(R_αβ)`` as rows of ``I_δ``: one slice, one offset filter (empty
+    if min(α,β) > δ)."""
+    part, tau, bound = slice_of(alpha, beta)
+    return idelta.where(
+        (F.col("side") == part)
+        & (F.col("tau") == tau)
+        & (F.col("off_u") >= bound)
+        & (F.col("off_v") >= bound)
     )

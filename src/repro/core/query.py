@@ -19,7 +19,8 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.index_bicore import core_vertices
+from repro.core.index_bicore import core_vertices, slice_of
+from repro.core.index_delta import core_edges
 from repro.graph.components import component_of
 from repro.graph.peel import abcore
 
@@ -57,7 +58,7 @@ def q_bs(
     capped below the query, or both α and β exceed their side's maximum
     (the (α,β)-core is empty)."""
     parts = [(ibs_alpha, "alpha", alpha, beta), (ibs_beta, "beta", beta, alpha)]
-    if beta < alpha:
+    if slice_of(alpha, beta)[0] == "b":
         parts.reverse()
     for idx, col, s, lo in parts:
         sl = idx.where(F.col(col) == s)
@@ -74,18 +75,5 @@ def q_opt(
     idelta: DataFrame, q: int, qside: str, alpha: int, beta: int
 ) -> DataFrame:
     """Retrieval over I_δ: one τ partition, one offset filter, BFS."""
-    if alpha <= beta:
-        sub = idelta.where(
-            (F.col("side") == "a")
-            & (F.col("tau") == alpha)
-            & (F.col("off_u") >= beta)
-            & (F.col("off_v") >= beta)
-        )
-    else:
-        sub = idelta.where(
-            (F.col("side") == "b")
-            & (F.col("tau") == beta)
-            & (F.col("off_u") >= alpha)
-            & (F.col("off_v") >= alpha)
-        )
-    return component_of(sub.select("u", "v", "w"), q, qside)
+    sub = core_edges(idelta, alpha, beta).select("u", "v", "w")
+    return component_of(sub, q, qside)

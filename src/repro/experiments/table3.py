@@ -22,7 +22,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro import datasets
-from repro.core.index_delta import build_idelta
+from repro.core.index_delta import build_idelta, core_edges
 from repro.core.query import q_opt
 from repro.core.scs import scs_baseline, scs_expand, scs_peel
 from repro.graph.decomposition import coreness, delta
@@ -93,16 +93,10 @@ def pick_queries(
     idelta: DataFrame, alpha: int, beta: int, *, n: int = 3, seed: int = 0
 ) -> list[int]:
     """Seeded upper-layer query vertices drawn from the (α,β)-core."""
-    side, tau, lo = ("a", alpha, beta) if alpha <= beta else ("b", beta, alpha)
     us = [
         int(r["u"])
-        for r in (
-            idelta.where(
-                (F.col("side") == side) & (F.col("tau") == tau)
-                & (F.col("off_u") >= lo) & (F.col("off_v") >= lo)
-            )
-            .select("u").distinct().orderBy("u").collect()
-        )
+        for r in core_edges(idelta, alpha, beta)
+        .select("u").distinct().orderBy("u").collect()
     ]
     if not us:
         raise ValueError(f"({alpha},{beta})-core is empty — lower alpha/beta")

@@ -34,7 +34,7 @@ from collections.abc import Iterable
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.schema import checkpoint, degrees
+from repro.graph.schema import adjacency, checkpoint, degrees
 
 
 class FixpointDidNotConverge(RuntimeError):
@@ -167,18 +167,7 @@ def coreness(edges: DataFrame, *, max_iter: int = 300) -> DataFrame:
     yields the paper's degeneracy δ (= max coreness) and every (τ,τ)-core
     (vertices with coreness ≥ τ). Returns ``(side, id, core: int)``.
     """
-    half = edges.select(
-        F.lit("u").alias("xs"), F.col("u").alias("xi"),
-        F.lit("v").alias("ys"), F.col("v").alias("yi"),
-    )
-    adj = checkpoint(
-        half.unionByName(
-            edges.select(
-                F.lit("v").alias("xs"), F.col("v").alias("xi"),
-                F.lit("u").alias("ys"), F.col("u").alias("yi"),
-            )
-        )
-    )
+    adj = checkpoint(adjacency(edges))
     vals = checkpoint(
         adj.groupBy("xs", "xi").agg(F.count(F.lit(1)).cast("int").alias("val"))
     )

@@ -51,6 +51,21 @@ def degrees(edges: DataFrame) -> tuple[DataFrame, DataFrame]:
     return du, dv
 
 
+def adjacency(edges: DataFrame) -> DataFrame:
+    """Undirected adjacency in the shared ``(side, id)`` namespace: one row
+    ``(xs, xi, ys, yi)`` per edge direction, so each vertex ``(xs, xi)``
+    lists every neighbour ``(ys, yi)``."""
+    return edges.select(
+        F.lit("u").alias("xs"), F.col("u").alias("xi"),
+        F.lit("v").alias("ys"), F.col("v").alias("yi"),
+    ).unionByName(
+        edges.select(
+            F.lit("v").alias("xs"), F.col("v").alias("xi"),
+            F.lit("u").alias("ys"), F.col("u").alias("yi"),
+        )
+    )
+
+
 def graph_stats(edges: DataFrame) -> dict[str, int]:
     """``{m, n_u, n_l}`` of the edge list in one aggregation."""
     row = edges.agg(

@@ -1,8 +1,9 @@
-"""SparkSession factory for spark-submit entrypoints.
+"""SparkSession factory for the spark-submit entrypoints and the test suite.
 
-Tests use the ``spark`` fixture from ``conftest.py``; jobs run standalone
-and build an equivalent local session here (same shuffle/broadcast/Arrow
-settings, lower default shuffle partitions since job graphs are small).
+One local session config: few shuffle partitions (the graphs are small),
+Arrow on, and broadcast joins disabled so joins exercise the shuffle path.
+The test suite's ``spark`` fixture (root ``conftest.py``) builds through
+here too, after setting the driver memory before the JVM starts.
 """
 from __future__ import annotations
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.schema import checkpoint, degrees
+from repro.graph.schema import adjacency, checkpoint, degrees
 
 
 def rwr_scores(
@@ -39,18 +39,7 @@ def rwr_scores(
     restart = (1.0 - damping) / n
     scores = verts.select("side", "id", "deg", F.lit(1.0 / n).alias("score"))
 
-    # Undirected adjacency in the shared (side, id) namespace.
-    adj = checkpoint(
-        edges.select(
-            F.lit("u").alias("xs"), F.col("u").alias("xi"),
-            F.lit("v").alias("ys"), F.col("v").alias("yi"),
-        ).unionByName(
-            edges.select(
-                F.lit("v").alias("xs"), F.col("v").alias("xi"),
-                F.lit("u").alias("ys"), F.col("u").alias("yi"),
-            )
-        )
-    )
+    adj = checkpoint(adjacency(edges))
     for _ in range(iters):
         outflow = adj.join(
             scores.select(

@@ -1,12 +1,6 @@
 """Test-suite fixtures: shared small graphs (python edge lists + Spark
 DataFrames) reused across modules via session scope to keep the suite fast.
 """
-import os
-
-# Must be set before the root conftest's fixture creates the session: small
-# graphs + 64 shuffle partitions = pure scheduler overhead.
-os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "8")
-
 import pytest
 
 from repro.graph.schema import edges_df
@@ -36,3 +30,12 @@ def rand_edges():
 @pytest.fixture(scope="session")
 def rand_dfs(spark, rand_edges):
     return {k: edges_df(spark, v) for k, v in rand_edges.items()}
+
+
+@pytest.fixture(scope="session")
+def graphs(fig2_edges, fig2_df, rand_edges, rand_dfs):
+    """fig2 and the random graphs by key, as ``(edge list, DataFrame)``."""
+    return {
+        "fig2": (fig2_edges, fig2_df),
+        **{k: (rand_edges[k], rand_dfs[k]) for k in rand_edges},
+    }

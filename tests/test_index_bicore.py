@@ -4,11 +4,32 @@ import pytest
 from repro.core.index_bicore import build_iv, core_vertices
 from repro.core.index_delta import build_idelta
 from repro.reference import ref_graph as R
+from tests.util import ref_slices
 
 
 @pytest.fixture(scope="module")
-def fig2_iv(fig2_df):
-    return build_iv(fig2_df).cache()
+def built(graphs):
+    """``I_v`` of every shared graph, built once for the module."""
+    return {k: build_iv(df).cache() for k, (_, df) in graphs.items()}
+
+
+@pytest.fixture(scope="module")
+def fig2_iv(built):
+    return built["fig2"]
+
+
+@pytest.mark.parametrize("key", ["fig2", 1, 2, 3])
+def test_rows_match_reference(graphs, built, key):
+    """Every row, offsets included: each slice's vertices with offset
+    ``>= lo``, on both sides."""
+    exp = sorted(
+        (part, tau, side, x, off)
+        for part, tau, su, sv, lo in ref_slices(graphs[key][0])
+        for side, offs in (("u", su), ("v", sv))
+        for x, off in offs.items()
+        if off >= lo
+    )
+    assert sorted(tuple(r) for r in built[key].collect()) == exp
 
 
 class TestCoreVertices:
@@ -20,8 +41,8 @@ class TestCoreVertices:
         assert got == exp
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_random_graphs(self, rand_edges, rand_dfs, seed):
-        iv = build_iv(rand_dfs[seed]).cache()
+    def test_random_graphs(self, rand_edges, built, seed):
+        iv = built[seed]
         d = R.delta(rand_edges[seed])
         for alpha, beta in [(1, 2), (2, 2), (2, 1), (d, d), (d + 1, d)]:
             got = {(r.side, r.id) for r in core_vertices(iv, alpha, beta).collect()}
@@ -35,11 +56,9 @@ class TestCoreVertices:
 
 
 class TestSize:
-    def test_vertex_only_index_smaller_than_idelta(self, rand_dfs, rand_edges):
+    def test_vertex_only_index_smaller_than_idelta(self, rand_dfs, built):
         """Fig 11's shape: I_v (vertices) is smaller than I_δ (edges)."""
-        iv = build_iv(rand_dfs[1])
-        idelta = build_idelta(rand_dfs[1])
-        assert iv.count() < idelta.count()
+        assert built[1].count() < build_idelta(rand_dfs[1]).count()
 
     def test_empty_graph(self, spark):
         empty = spark.createDataFrame([], "u long, v long, w double")

@@ -4,12 +4,32 @@ from pyspark.sql import functions as F
 
 from repro.core.index_delta import build_idelta
 from repro.reference import ref_graph as R
-from tests.util import eset
+from tests.util import eset, ref_slices
 
 
 @pytest.fixture(scope="module")
-def fig2_idx(fig2_df):
-    return build_idelta(fig2_df).cache()
+def built(graphs):
+    """``I_δ`` of every shared graph, built once for the module."""
+    return {k: build_idelta(df).cache() for k, (_, df) in graphs.items()}
+
+
+@pytest.fixture(scope="module")
+def fig2_idx(built):
+    return built["fig2"]
+
+
+@pytest.mark.parametrize("key", ["fig2", 1, 2, 3])
+def test_rows_match_reference(graphs, built, key):
+    """Every row, offsets included: the edges of each slice whose endpoints
+    both keep offset ``>= lo``, annotated with the sequential offsets."""
+    edges = graphs[key][0]
+    exp = sorted(
+        (part, tau, u, v, w, su[u], sv[v])
+        for part, tau, su, sv, lo in ref_slices(edges)
+        for u, v, w in edges
+        if su.get(u, 0) >= lo and sv.get(v, 0) >= lo
+    )
+    assert sorted(tuple(r) for r in built[key].collect()) == exp
 
 
 class TestStructure:
@@ -45,8 +65,8 @@ class TestSliceSemantics:
     """Filtering a slice of I_δ must yield exactly E(R_αβ) (DESIGN.md §2)."""
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_side_a_slices(self, rand_edges, rand_dfs, seed):
-        idx = build_idelta(rand_dfs[seed]).cache()
+    def test_side_a_slices(self, rand_edges, built, seed):
+        idx = built[seed]
         d = R.delta(rand_edges[seed])
         for alpha in range(1, d + 1):
             for beta in (alpha, alpha + 1):
@@ -64,8 +84,8 @@ class TestSliceSemantics:
                 )
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_side_b_slices(self, rand_edges, rand_dfs, seed):
-        idx = build_idelta(rand_dfs[seed]).cache()
+    def test_side_b_slices(self, rand_edges, built, seed):
+        idx = built[seed]
         d = R.delta(rand_edges[seed])
         for beta in range(1, d + 1):
             alpha = beta + 1  # side b serves β < α
@@ -95,9 +115,9 @@ class TestSliceSemantics:
 
 class TestSizeBound:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_within_2_delta_m(self, rand_edges, rand_dfs, seed):
+    def test_within_2_delta_m(self, rand_edges, built, seed):
         """Lemma 5: size(I_δ) = O(2 Σ_τ size(R_ττ)) <= 2·δ·m."""
-        idx = build_idelta(rand_dfs[seed])
+        idx = built[seed]
         d = R.delta(rand_edges[seed])
         assert idx.count() <= 2 * d * len(rand_edges[seed])
 

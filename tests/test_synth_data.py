@@ -1,7 +1,6 @@
 """Tests of the synthetic data generators: determinism, schema, shape."""
 import numpy as np
 import pandas as pd
-import pytest
 
 from repro import synth_data as sd
 
@@ -71,20 +70,3 @@ class TestZipfProbs:
         p = sd._zipf_probs(50, 1.1)
         assert (np.diff(p) <= 0).all()
 
-
-class TestProvidedTpchLite:
-    """The provided TPC-H-lite generators keep working (used by the
-    oracle-integration tests that derive purchase graphs from them)."""
-
-    def test_lineitem_deterministic(self, spark):
-        a = sd.lineitem(spark, sf=0.001, seed=3).toPandas()
-        b = sd.lineitem(spark, sf=0.001, seed=3).toPandas()
-        pd.testing.assert_frame_equal(a, b)
-
-    def test_orders_keys_unique(self, spark):
-        o = sd.orders(spark, sf=0.001).toPandas()
-        assert o["o_orderkey"].is_unique
-
-    @pytest.mark.parametrize("fn", [sd.lineitem, sd.orders, sd.customer, sd.part])
-    def test_nonempty(self, spark, fn):
-        assert fn(spark, sf=0.001).count() > 0

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.reference import ref_graph as R
+
 
 def rand_bipartite(
     seed: int, *, n_u: int = 12, n_l: int = 10, m: int = 70, wlevels: int = 4
@@ -35,6 +37,15 @@ def paper_figure2_like() -> list[tuple[int, int, float]]:
             edges.append((u, v, w))
     edges += [(4, 1, 5.0), (4, 2, 5.0), (1, 4, 1.0), (2, 4, 1.0)]
     return edges
+
+
+def ref_slices(edges):
+    """``(part, τ, s_u, s_v, lo)`` for every slice of ``I_v`` / ``I_δ``,
+    from the sequential offsets: part ``a`` holds ``s_a(·,τ) >= τ``, part
+    ``b`` holds ``s_b(·,τ) > τ``; vertices keep offset ``>= lo``."""
+    for tau in range(1, R.delta(edges) + 1):
+        yield ("a", tau, *R.alpha_offsets(edges, tau), tau)
+        yield ("b", tau, *R.beta_offsets(edges, tau), tau + 1)
 
 
 def eset(edges) -> set[tuple[int, int]]:
