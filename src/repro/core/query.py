@@ -13,6 +13,9 @@ q is outside the (α,β)-core). They differ in what they must touch:
   Optimal per the paper, but the index behind it is O(α_max·m).
 * ``q_opt`` (Q_opt over I_δ) — pick side by min(α,β), filter one τ
   partition, BFS from q. Optimal with an O(δ·m) index.
+
+Each rejects α < 1, β < 1 and a side other than ``u``/``v`` with
+``ValueError`` before it touches Spark.
 """
 from __future__ import annotations
 
@@ -23,12 +26,14 @@ from repro.core.index_bicore import core_vertices, slice_of
 from repro.core.index_delta import core_edges
 from repro.graph.components import component_of
 from repro.graph.peel import abcore
+from repro.graph.schema import check_query
 
 
 def q_online(
     edges: DataFrame, q: int, qside: str, alpha: int, beta: int
 ) -> DataFrame:
     """Index-free online retrieval: full-graph peel, then BFS."""
+    check_query(qside, alpha, beta)
     return component_of(abcore(edges, alpha, beta), q, qside)
 
 
@@ -36,6 +41,7 @@ def q_bicore(
     iv: DataFrame, edges: DataFrame, q: int, qside: str, alpha: int, beta: int
 ) -> DataFrame:
     """Bicore-index retrieval: vertex set from I_v, edges from the graph."""
+    check_query(qside, alpha, beta)
     verts = core_vertices(iv, alpha, beta)
     keep_u = verts.where(F.col("side") == "u").select(F.col("id").alias("u"))
     keep_v = verts.where(F.col("side") == "v").select(F.col("id").alias("v"))
@@ -57,6 +63,7 @@ def q_bs(
     ``ValueError`` when neither part holds its slice: both builds were
     capped below the query, or both α and β exceed their side's maximum
     (the (α,β)-core is empty)."""
+    check_query(qside, alpha, beta)
     parts = [(ibs_alpha, "alpha", alpha, beta), (ibs_beta, "beta", beta, alpha)]
     if slice_of(alpha, beta)[0] == "b":
         parts.reverse()
@@ -75,5 +82,6 @@ def q_opt(
     idelta: DataFrame, q: int, qside: str, alpha: int, beta: int
 ) -> DataFrame:
     """Retrieval over I_δ: one τ partition, one offset filter, BFS."""
+    check_query(qside, alpha, beta)
     sub = core_edges(idelta, alpha, beta).select("u", "v", "w")
     return component_of(sub, q, qside)

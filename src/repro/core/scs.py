@@ -43,12 +43,13 @@ from itertools import groupby
 from pyspark.sql import DataFrame
 
 from repro.graph.components import component_of
-from repro.graph.schema import EDGE_SCHEMA
+from repro.graph.schema import EDGE_SCHEMA, check_query
 # Unused here; perfbench/layers.py looks up scs.has_vertex by name to trace it.
 from repro.graph.schema import has_vertex  # noqa: F401
 
 Edge = tuple[int, int, float]
 _Vertex = tuple[str, int]  # (side, id)
+EPS = 2.0  # SCS-Expand's rung growth factor ε (the paper's Alg. 5 value)
 
 
 def _ends(e: Edge) -> tuple[_Vertex, _Vertex]:
@@ -152,7 +153,7 @@ def _expand_ladder(hist: list[tuple[float, int]], eps: float) -> list[int]:
 
 
 def expand_kernel(
-    edges: list[Edge], q: int, qside: str, alpha: int, beta: int, *, eps: float = 2.0
+    edges: list[Edge], q: int, qside: str, alpha: int, beta: int
 ) -> list[Edge]:
     """SCS-Expand (paper Alg. 5) over an edge list; ``[]`` when q is not in
     its (α,β)-core."""
@@ -189,7 +190,7 @@ def expand_kernel(
             counts[a] = [x + y for x, y in zip(counts[a], counts.pop(b))]
         counts[a][0] += 1
 
-    for i in _expand_ladder(hist, eps):
+    for i in _expand_ladder(hist, EPS):
         while len(inserted) < len(order) and order[len(inserted)][2] >= hist[i][0]:
             insert(order[len(inserted)])
         if qk not in parent or not _lemma7_ok(*counts[find(qk)], alpha, beta):
@@ -201,13 +202,6 @@ def expand_kernel(
         if r:
             return r
     return []
-
-
-def _check_params(qside: str, alpha: int, beta: int) -> None:
-    if alpha < 1 or beta < 1:
-        raise ValueError(f"alpha and beta must be >= 1, got ({alpha}, {beta})")
-    if qside not in ("u", "v"):
-        raise ValueError(f"qside must be 'u' or 'v', got {qside!r}")
 
 
 def _collect(df: DataFrame) -> list[Edge]:
@@ -228,39 +222,25 @@ def scs_peel(
     community: DataFrame, q: int, qside: str, alpha: int, beta: int
 ) -> DataFrame:
     """SCS-Peel (paper Alg. 4) given ``C_αβ(q)`` (e.g. from ``q_opt``)."""
-    _check_params(qside, alpha, beta)
+    check_query(qside, alpha, beta)
     return _search(community, lambda es: peel_kernel(es, q, qside, alpha, beta))
 
 
 def scs_expand(
-    community: DataFrame,
-    q: int,
-    qside: str,
-    alpha: int,
-    beta: int,
-    *,
-    eps: float = 2.0,
+    community: DataFrame, q: int, qside: str, alpha: int, beta: int
 ) -> DataFrame:
     """SCS-Expand (paper Alg. 5) given ``C_αβ(q)``."""
-    _check_params(qside, alpha, beta)
-    return _search(
-        community, lambda es: expand_kernel(es, q, qside, alpha, beta, eps=eps)
-    )
+    check_query(qside, alpha, beta)
+    return _search(community, lambda es: expand_kernel(es, q, qside, alpha, beta))
 
 
 def scs_baseline(
-    edges: DataFrame,
-    q: int,
-    qside: str,
-    alpha: int,
-    beta: int,
-    *,
-    eps: float = 2.0,
+    edges: DataFrame, q: int, qside: str, alpha: int, beta: int
 ) -> DataFrame:
     """SCS-Baseline: expansion from q's component of the WHOLE graph —
     no index, no step-1 restriction (the paper's baseline)."""
-    _check_params(qside, alpha, beta)
+    check_query(qside, alpha, beta)
     return _search(
         component_of(edges, q, qside),
-        lambda es: expand_kernel(es, q, qside, alpha, beta, eps=eps),
+        lambda es: expand_kernel(es, q, qside, alpha, beta),
     )

@@ -22,7 +22,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.graph.schema import normalize
-from repro.synth_data import bipartite_pdf
+from repro.synth_data import bipartite_pdf, planted_bipartite_pdf
 from repro.weights import distributions as wd
 from repro.weights.rwr import rwr_weights
 
@@ -87,8 +87,9 @@ def structure_pdf(cfg: DatasetConfig) -> pd.DataFrame:
     )
 
 
-def load(spark: SparkSession, name: str, *, num_partitions: int = 8) -> DataFrame:
-    """Materialise a dataset as a canonical weighted edge DataFrame."""
+def load(spark: SparkSession, name: str) -> DataFrame:
+    """Materialise a dataset as a canonical weighted edge DataFrame
+    (8 partitions)."""
     cfg = BY_NAME[name]
     pdf = structure_pdf(cfg)
     if cfg.weights == "ratings":
@@ -99,33 +100,23 @@ def load(spark: SparkSession, name: str, *, num_partitions: int = 8) -> DataFram
         pdf = wd.all_equal(pdf)  # placeholder; replaced below in Spark
     else:
         raise ValueError(f"unknown weight kind {cfg.weights!r}")
-    df = normalize(spark.createDataFrame(pdf)).repartition(num_partitions)
+    df = normalize(spark.createDataFrame(pdf)).repartition(8)
     if cfg.weights == "rw":
         df = rwr_weights(df)
     return df
 
 
-def ml_comedy_like(
-    spark: SparkSession,
-    *,
-    n_u: int = 400,
-    n_l: int = 120,
-    m: int = 6000,
-    plant_u: int = 40,
-    plant_l: int = 16,
-    plant_p: float = 0.85,
-    seed: int = 42,
-) -> DataFrame:
+def ml_comedy_like(spark: SparkSession) -> DataFrame:
     """The Table II case-study graph: a MovieLens-comedy-style user-movie
-    rating graph with a planted community of ``plant_u`` fans densely rating
-    ``plant_l`` movies at 4.5-5.0 stars (ids [0, plant_u) x [0, plant_l)).
-    The query vertex of the case study is user 0 (inside the plant).
+    rating graph (400 users, 120 movies, ~6,000 ratings) with a planted
+    community of 40 fans densely rating 16 movies at 4.5-5.0 stars (ids
+    [0, 40) x [0, 16)). The query vertex of the case study is user 0
+    (inside the plant).
     """
-    from repro.synth_data import planted_bipartite_pdf
-
+    plant_u, plant_l, seed = 40, 16, 42
     pdf = planted_bipartite_pdf(
-        n_u=n_u, n_l=n_l, m=m,
-        plant_u=plant_u, plant_l=plant_l, plant_p=plant_p,
+        n_u=400, n_l=120, m=6000,
+        plant_u=plant_u, plant_l=plant_l, plant_p=0.85,
         skew_u=0.8, skew_l=0.8, seed=seed,
     )
     # Every edge inside the plant rectangle is high-rated — including

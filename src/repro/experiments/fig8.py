@@ -9,7 +9,6 @@ I_v / I_bs^α / I_bs^β / I_δ.
 from __future__ import annotations
 
 import tempfile
-import time
 
 import numpy as np
 import pandas as pd
@@ -20,25 +19,18 @@ from repro.core.index_bicore import build_iv
 from repro.core.index_bs import build_ibs_alpha, build_ibs_beta, index_disk_bytes, save_index
 from repro.core.index_delta import build_idelta
 from repro.core.query import q_bicore, q_online, q_opt
-from repro.experiments.table3 import pick_queries
+from repro.experiments.table3 import pick_queries, timed
 from repro.graph.decomposition import coreness, delta
 from repro.graph.schema import checkpoint
-
-
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
 
 
 def run(
     spark: SparkSession,
     *,
     dataset: str = "GH",
-    n_queries: int = 3,
     max_bs_slices: int | None = None,
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Returns ``(index_df, query_df)``.
+    """Returns ``(index_df, query_df)``, over 3 seeded queries.
 
     ``index_df``: per index, build seconds / row count / Parquet bytes.
     ``query_df``: per algorithm, mean and std query seconds.
@@ -57,7 +49,7 @@ def run(
     }
     index_rows, built = [], {}
     for name, make in builders.items():
-        idx, secs = _timed(lambda: checkpoint(make()))
+        idx, secs = timed(lambda: checkpoint(make()))
         rows = idx.count()
         with tempfile.TemporaryDirectory() as tmp:
             path = f"{tmp}/{name}"
@@ -75,7 +67,7 @@ def run(
              "disk_bytes": disk, "capped": bool(max_bs_slices)}
         )
 
-    queries = pick_queries(built["I_delta"], a, b, n=n_queries)
+    queries = pick_queries(built["I_delta"], a, b, n=3)
     algs = {
         "Q_o": lambda q: q_online(edges, q, "u", a, b).count(),
         "Q_v": lambda q: q_bicore(built["I_v"], edges, q, "u", a, b).count(),
@@ -85,7 +77,7 @@ def run(
     for name, fn in algs.items():
         ts, sizes = [], []
         for q in queries:
-            size, secs = _timed(lambda: fn(q))
+            size, secs = timed(lambda: fn(q))
             ts.append(secs)
             sizes.append(size)
         query_rows.append(

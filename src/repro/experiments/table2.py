@@ -47,7 +47,6 @@ def run(
     q: int = 0,
     alpha: int = 8,
     beta: int = 8,
-    rating_threshold: float = 4.0,
 ) -> pd.DataFrame:
     """Measured Table II rows (same columns as ``PAPER``)."""
     edges = datasets.ml_comedy_like(spark)
@@ -61,7 +60,7 @@ def run(
         "ab-core": core_community,
         "bitruss": bitruss_community(edges, q, "u", k=alpha * beta),
         "biclique": biclique_edges(edges, us, vs),
-        "C4star": c4star_community(edges, q, "u", threshold=rating_threshold),
+        "C4star": c4star_community(edges, q, "u"),
     }
     rows = []
     for name, comm in communities.items():

@@ -104,26 +104,20 @@ def pick_queries(
     return [us[i] for i in rng.choice(len(us), size=min(n, len(us)), replace=False)]
 
 
-def _timed(fn) -> float:
+def timed(fn) -> tuple[object, float]:
+    """``(fn(), seconds it took)``."""
     t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
+    out = fn()
+    return out, time.perf_counter() - t0
 
 
-def run(
-    spark: SparkSession,
-    *,
-    dataset: str = "DT",
-    n_queries: int = 3,
-    alpha: int | None = None,
-    beta: int | None = None,
-) -> pd.DataFrame:
-    """Measured Table III: mean seconds (± std in companion columns)."""
-    variants = weighted_variants(spark, dataset=dataset)
+def run(spark: SparkSession, *, n_queries: int = 3) -> pd.DataFrame:
+    """Measured Table III on DT at α = β = max(2, round(0.7δ)): mean seconds
+    (± std in companion columns)."""
+    variants = weighted_variants(spark)
     structure = variants["AE"]
     d = delta(structure, coreness_df=coreness(structure))
-    a = alpha if alpha is not None else max(2, round(0.7 * d))
-    b = beta if beta is not None else max(2, round(0.7 * d))
+    a = b = max(2, round(0.7 * d))
     idelta = checkpoint(build_idelta(structure, delta_val=d))
     queries = pick_queries(idelta, a, b, n=n_queries)
 
@@ -135,15 +129,15 @@ def run(
         edges = variants[dist]
         idx = reweight_index(idelta, edges)
         for q in queries:
-            results["SCS-Peel"][dist].append(_timed(
+            results["SCS-Peel"][dist].append(timed(
                 lambda: scs_peel(q_opt(idx, q, "u", a, b), q, "u", a, b).count()
-            ))
-            results["SCS-Expand"][dist].append(_timed(
+            )[1])
+            results["SCS-Expand"][dist].append(timed(
                 lambda: scs_expand(q_opt(idx, q, "u", a, b), q, "u", a, b).count()
-            ))
-            results["SCS-Baseline"][dist].append(_timed(
+            )[1])
+            results["SCS-Baseline"][dist].append(timed(
                 lambda: scs_baseline(edges, q, "u", a, b).count()
-            ))
+            )[1])
     rows = []
     for alg, per_dist in results.items():
         row: dict[str, object] = {"algorithm": alg, "alpha": a, "beta": b}

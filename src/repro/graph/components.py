@@ -15,16 +15,11 @@ from pyspark.sql import functions as F
 from repro.graph.schema import checkpoint
 
 
-class BfsDidNotConverge(RuntimeError):
-    """Raised when BFS exceeds ``max_iter`` rounds (bug guard)."""
-
-
-def component_of(
-    edges: DataFrame, q: int, qside: str = "u", *, max_iter: int = 200
-) -> DataFrame:
+def component_of(edges: DataFrame, q: int, qside: str = "u") -> DataFrame:
     """Edges of the connected component containing ``(qside, q)``.
 
     Returns an empty edge DataFrame when ``q`` is not incident to any edge.
+    Stops: ``seen`` strictly grows each round or the loop returns.
     """
     spark = edges.sparkSession
     empty = spark.createDataFrame([], "id long")
@@ -32,7 +27,7 @@ def component_of(
     seen_u, seen_v = (seed, empty) if qside == "u" else (empty, seed)
     frontier_u, frontier_v = seen_u, seen_v
 
-    for _ in range(max_iter):
+    while True:
         new_v = (
             edges.join(frontier_u.withColumnRenamed("id", "u"), "u", "semi")
             .select(F.col("v").alias("id"))
@@ -57,4 +52,3 @@ def component_of(
         seen_u = checkpoint(seen_u.union(new_u))
         seen_v = checkpoint(seen_v.union(new_v))
         frontier_u, frontier_v = new_u, new_v
-    raise BfsDidNotConverge(f"component_of(q={q}) after {max_iter} rounds")

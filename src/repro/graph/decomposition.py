@@ -37,11 +37,6 @@ from pyspark.sql import functions as F
 from repro.graph.schema import adjacency, checkpoint, degrees
 
 
-class FixpointDidNotConverge(RuntimeError):
-    """Raised when a fixpoint exceeds ``max_iter`` sweeps (bug guard — the
-    iteration provably terminates, in at most sum-of-degrees sweeps)."""
-
-
 def _hindex(vals: Column) -> Column:
     """h-index of an array column: max h with at least h elements >= h."""
     arr = F.sort_array(vals, asc=False)
@@ -57,34 +52,34 @@ def _kth_largest(vals: Column, k: Column) -> Column:
     return F.coalesce(F.get(arr, k - F.lit(1)), F.lit(0))
 
 
-def alpha_offsets(
-    edges: DataFrame, alphas: Iterable[int], *, max_iter: int = 300
-) -> DataFrame:
+def alpha_offsets(edges: DataFrame, alphas: Iterable[int]) -> DataFrame:
     """``s_a(x, α)`` for every vertex and every α in ``alphas``.
 
     Returns ``(alpha: int, side: 'u'|'v', id: long, off: int)`` including
     zero offsets (callers filter ``off >= 1`` for (α,1)-core membership).
     """
-    return _offsets_fixpoint(edges, alphas, swap=False, max_iter=max_iter)
+    return _offsets_fixpoint(edges, alphas, swap=False)
 
 
-def beta_offsets(
-    edges: DataFrame, betas: Iterable[int], *, max_iter: int = 300
-) -> DataFrame:
+def beta_offsets(edges: DataFrame, betas: Iterable[int]) -> DataFrame:
     """``s_b(x, β)`` for every vertex and every β in ``betas`` — symmetric to
     :func:`alpha_offsets`, returned as ``(beta, side, id, off)``."""
     swapped = edges.select(
         F.col("v").alias("u"), F.col("u").alias("v"), "w"
     )
-    out = _offsets_fixpoint(swapped, betas, swap=True, max_iter=max_iter)
+    out = _offsets_fixpoint(swapped, betas, swap=True)
     return out.withColumnRenamed("alpha", "beta")
 
 
 def _offsets_fixpoint(
-    edges: DataFrame, alphas: Iterable[int], *, swap: bool, max_iter: int
+    edges: DataFrame, alphas: Iterable[int], *, swap: bool
 ) -> DataFrame:
     """Shared fixpoint engine. With ``swap=True`` the caller has exchanged
-    the layers, so output sides are flipped back before returning."""
+    the layers, so output sides are flipped back before returning.
+
+    Stops: values only fall (``least``), so their sum, a non-negative
+    integer, drops every sweep until it stays equal, where the loop returns.
+    """
     spark = edges.sparkSession
     alist = sorted({int(a) for a in alphas})
     if not alist:
@@ -103,7 +98,7 @@ def _offsets_fixpoint(
     vals_u = checkpoint(_update_u(ea, vals_v, du, prev=None))
 
     prev_total = None
-    for _ in range(max_iter):
+    while True:
         vals_v = checkpoint(_update_v(ea, vals_u, prev=vals_v))
         vals_u = checkpoint(_update_u(ea, vals_v, du, prev=vals_u))
         total = (
@@ -121,7 +116,6 @@ def _offsets_fixpoint(
             )
             return out_u.unionByName(out_v)
         prev_total = total
-    raise FixpointDidNotConverge(f"offsets after {max_iter} sweeps")
 
 
 def _update_v(ea: DataFrame, vals_u: DataFrame, *, prev: DataFrame) -> DataFrame:
@@ -160,19 +154,22 @@ def _update_u(
     )
 
 
-def coreness(edges: DataFrame, *, max_iter: int = 300) -> DataFrame:
+def coreness(edges: DataFrame) -> DataFrame:
     """k-core number of every vertex of the graph viewed as unipartite.
 
     The (τ,τ)-core equals the k-core with k = τ, so this single fixpoint
     yields the paper's degeneracy δ (= max coreness) and every (τ,τ)-core
     (vertices with coreness ≥ τ). Returns ``(side, id, core: int)``.
+
+    Stops: values only fall (``least``), so their sum, a non-negative
+    integer, drops every sweep until it stays equal, where the loop returns.
     """
     adj = checkpoint(adjacency(edges))
     vals = checkpoint(
         adj.groupBy("xs", "xi").agg(F.count(F.lit(1)).cast("int").alias("val"))
     )
     prev_total = None
-    for _ in range(max_iter):
+    while True:
         nbr = adj.join(
             vals.select(
                 F.col("xs").alias("ys"), F.col("xi").alias("yi"), "val"
@@ -195,7 +192,6 @@ def coreness(edges: DataFrame, *, max_iter: int = 300) -> DataFrame:
                 F.col("val").alias("core"),
             )
         prev_total = total
-    raise FixpointDidNotConverge(f"coreness after {max_iter} sweeps")
 
 
 def delta(edges: DataFrame, *, coreness_df: DataFrame | None = None) -> int:

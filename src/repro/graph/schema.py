@@ -22,15 +22,20 @@ EDGE_SCHEMA = T.StructType(
 )
 
 
-def edges_df(
-    spark: SparkSession,
-    edges: list[tuple[int, int, float]],
-    *,
-    num_partitions: int = 4,
-) -> DataFrame:
-    """Build a canonical edge DataFrame from in-memory ``(u, v, w)`` tuples."""
+def edges_df(spark: SparkSession, edges: list[tuple[int, int, float]]) -> DataFrame:
+    """Build a canonical edge DataFrame (4 partitions) from in-memory
+    ``(u, v, w)`` tuples."""
     rows = [(int(u), int(v), float(w)) for u, v, w in edges]
-    return spark.createDataFrame(rows, EDGE_SCHEMA).repartition(num_partitions)
+    return spark.createDataFrame(rows, EDGE_SCHEMA).repartition(4)
+
+
+def check_query(qside: str, alpha: int, beta: int) -> None:
+    """Reject a query with α < 1, β < 1 or a side other than ``u``/``v``
+    (``ValueError``); runs no Spark job."""
+    if alpha < 1 or beta < 1:
+        raise ValueError(f"alpha and beta must be >= 1, got ({alpha}, {beta})")
+    if qside not in ("u", "v"):
+        raise ValueError(f"qside must be 'u' or 'v', got {qside!r}")
 
 
 def normalize(df: DataFrame) -> DataFrame:

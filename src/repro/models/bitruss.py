@@ -8,8 +8,9 @@ butterflies containing it:
 Dataflow: a self-join on ``v`` yields wedge endpoints, aggregated into
 common-neighbour pair counts ``P(u, u')``; a second wedge join sums
 ``P - 1`` per edge. The k-bitruss is the fixpoint of removing edges with
-support < k (support recomputed from scratch per round — the cascades are
-shallow at reproduction scale).
+support < k, run by the same peel loop as the (α,β)-core
+(``repro.graph.peel.peel_edges``; support recomputed from scratch per round —
+the cascades are shallow at reproduction scale).
 """
 from __future__ import annotations
 
@@ -17,11 +18,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graph.components import component_of
-from repro.graph.schema import checkpoint
-
-
-class BitrussDidNotConverge(RuntimeError):
-    """Raised when the support peel exceeds ``max_iter`` rounds."""
+from repro.graph.peel import peel_edges
 
 
 def butterfly_support(edges: DataFrame) -> DataFrame:
@@ -47,22 +44,16 @@ def butterfly_count(edges: DataFrame) -> int:
     return int(total) // 4
 
 
-def k_bitruss(edges: DataFrame, k: int, *, max_iter: int = 100) -> DataFrame:
+def k_bitruss(edges: DataFrame, k: int) -> DataFrame:
     """Maximal subgraph where every edge lies in >= k butterflies."""
     if k <= 0:
         return edges
-    cur = checkpoint(edges)
-    n = cur.count()
-    for _ in range(max_iter):
-        if n == 0:
-            return cur
+
+    def keep(cur: DataFrame) -> DataFrame:
         good = butterfly_support(cur).where(F.col("support") >= k).select("u", "v")
-        nxt = checkpoint(cur.join(good, ["u", "v"], "semi"))
-        n2 = nxt.count()
-        if n2 == n:
-            return nxt
-        cur, n = nxt, n2
-    raise BitrussDidNotConverge(f"k_bitruss(k={k}) after {max_iter} rounds")
+        return cur.join(good, ["u", "v"], "semi")
+
+    return peel_edges(edges, keep)
 
 
 def bitruss_community(

@@ -4,7 +4,7 @@ The paper generates weights for unweighted datasets with the random walk
 with restart model. Running a separate walk per source vertex is O(n·m);
 DESIGN.md §4 substitutes the closest bulk equivalent: a global
 degree-normalized relevance (PageRank-style power iteration with restart
-probability ``1 - damping``) over the bipartite graph, with the weight of an
+probability ``1 - DAMPING``) over the bipartite graph, with the weight of an
 edge derived from its endpoints' stationary relevances. What Table III's RW
 row exercises — weights *correlated with graph structure*, as opposed to the
 independent UF/SK draws — is preserved.
@@ -19,10 +19,11 @@ from pyspark.sql import functions as F
 
 from repro.graph.schema import adjacency, checkpoint, degrees
 
+DAMPING = 0.85
+ITERS = 12  # power-iteration steps
 
-def rwr_scores(
-    edges: DataFrame, *, damping: float = 0.85, iters: int = 12
-) -> DataFrame:
+
+def rwr_scores(edges: DataFrame) -> DataFrame:
     """Stationary relevance score per vertex: ``(side, id, score)``."""
     du, dv = degrees(edges)
     verts = du.select(
@@ -36,11 +37,11 @@ def rwr_scores(
     )
     verts = checkpoint(verts)
     n = verts.count()
-    restart = (1.0 - damping) / n
+    restart = (1.0 - DAMPING) / n
     scores = verts.select("side", "id", "deg", F.lit(1.0 / n).alias("score"))
 
     adj = checkpoint(adjacency(edges))
-    for _ in range(iters):
+    for _ in range(ITERS):
         outflow = adj.join(
             scores.select(
                 F.col("side").alias("xs"), F.col("id").alias("xi"),
@@ -56,22 +57,20 @@ def rwr_scores(
                 "side", "id", "deg",
                 (
                     F.lit(restart)
-                    + F.lit(damping) * F.coalesce(F.col("inflow"), F.lit(0.0))
+                    + F.lit(DAMPING) * F.coalesce(F.col("inflow"), F.lit(0.0))
                 ).alias("score"),
             )
         )
     return scores.select("side", "id", "score")
 
 
-def rwr_weights(
-    edges: DataFrame, *, damping: float = 0.85, iters: int = 12
-) -> DataFrame:
+def rwr_weights(edges: DataFrame) -> DataFrame:
     """Replace ``w`` with structure-derived weights in (0, 1].
 
     ``w(u, v)`` is the min-max-normalized sum of the endpoints' relevance
     scores, so edges between globally central vertices get large weights.
     """
-    s = rwr_scores(edges, damping=damping, iters=iters)
+    s = rwr_scores(edges)
     su = s.where(F.col("side") == "u").select(
         F.col("id").alias("u"), F.col("score").alias("su")
     )

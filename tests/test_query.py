@@ -4,6 +4,8 @@ The paper's guarantee: Q_o, Q_v, Q_bs and Q_opt return the identical
 ``C_αβ(q)``; they differ only in cost. Equality on every tested input is
 therefore the complete correctness statement.
 """
+import functools
+
 import pytest
 
 from repro.core.index_bicore import build_iv
@@ -14,18 +16,25 @@ from repro.reference import ref_graph as R
 from tests.util import eset, eset_df
 
 
+_BUILDERS = {
+    "iv": build_iv,
+    "idelta": build_idelta,
+    "ibs_a": build_ibs_alpha,
+    "ibs_b": build_ibs_beta,
+}
+
+
 @pytest.fixture(scope="module")
-def indexed(rand_dfs):
-    """Pre-built indexes for the shared random graphs."""
-    out = {}
-    for seed, df in rand_dfs.items():
-        out[seed] = {
-            "iv": build_iv(df).cache(),
-            "idelta": build_idelta(df).cache(),
-            "ibs_a": build_ibs_alpha(df).cache(),
-            "ibs_b": build_ibs_beta(df).cache(),
-        }
-    return out
+def indexed(graphs):
+    """``indexed(key, name)``: an index of a shared graph (``"fig2"`` or a
+    random-graph seed), built when a test first asks for it and kept for
+    the module."""
+
+    @functools.cache
+    def index(key, name):
+        return _BUILDERS[name](graphs[key][1]).cache()
+
+    return index
 
 
 CASES = [(1, 2, 2), (1, 2, 3), (1, 3, 2), (2, 2, 2), (3, 2, 2), (3, 3, 3)]
@@ -54,7 +63,7 @@ def test_q_opt(rand_edges, indexed, seed, alpha, beta):
     q = _query_vertex(rand_edges[seed], alpha, beta)
     if q is None:
         pytest.skip("empty core")
-    got = eset_df(q_opt(indexed[seed]["idelta"], q, "u", alpha, beta))
+    got = eset_df(q_opt(indexed(seed, "idelta"), q, "u", alpha, beta))
     assert got == _expected(rand_edges[seed], q, alpha, beta)
 
 
@@ -64,7 +73,7 @@ def test_q_bicore(rand_edges, rand_dfs, indexed, seed, alpha, beta):
     if q is None:
         pytest.skip("empty core")
     got = eset_df(
-        q_bicore(indexed[seed]["iv"], rand_dfs[seed], q, "u", alpha, beta)
+        q_bicore(indexed(seed, "iv"), rand_dfs[seed], q, "u", alpha, beta)
     )
     assert got == _expected(rand_edges[seed], q, alpha, beta)
 
@@ -75,7 +84,7 @@ def test_q_bs(rand_edges, indexed, seed, alpha, beta):
     if q is None:
         pytest.skip("empty core")
     got = eset_df(
-        q_bs(indexed[seed]["ibs_a"], indexed[seed]["ibs_b"], q, "u", alpha, beta)
+        q_bs(indexed(seed, "ibs_a"), indexed(seed, "ibs_b"), q, "u", alpha, beta)
     )
     assert got == _expected(rand_edges[seed], q, alpha, beta)
 
@@ -85,7 +94,7 @@ def test_q_bs_capped_alpha_part_reads_beta_part(rand_edges, rand_dfs, indexed):
     query on ``max_alpha=1`` used to return no edges."""
     q = _query_vertex(rand_edges[1], 2, 2)
     capped = build_ibs_alpha(rand_dfs[1], max_alpha=1)
-    got = eset_df(q_bs(capped, indexed[1]["ibs_b"], q, "u", 2, 2))
+    got = eset_df(q_bs(capped, indexed(1, "ibs_b"), q, "u", 2, 2))
     assert got and got == _expected(rand_edges[1], q, 2, 2)
 
 
@@ -97,6 +106,31 @@ def test_q_bs_both_parts_capped_raises(rand_edges, rand_dfs):
         q_bs(capped_a, capped_b, q, "u", 2, 2)
 
 
+_PATHS = {
+    "q_online": lambda ix, df, *a: q_online(df, *a),
+    "q_bicore": lambda ix, df, *a: q_bicore(ix(1, "iv"), df, *a),
+    "q_bs": lambda ix, df, *a: q_bs(ix(1, "ibs_a"), ix(1, "ibs_b"), *a),
+    "q_opt": lambda ix, df, *a: q_opt(ix(1, "idelta"), *a),
+}
+
+
+@pytest.mark.parametrize("path", list(_PATHS))
+@pytest.mark.parametrize(
+    "qside,alpha,beta,match",
+    [("u", 0, 2, "alpha and beta"), ("u", 2, 0, "alpha and beta"),
+     ("x", 2, 2, "qside")],
+    ids=["alpha0", "beta0", "side_x"],
+)
+def test_bad_query_raises(rand_edges, rand_dfs, indexed, path, qside, alpha,
+                          beta, match):
+    """α < 1, β < 1 and an unknown side fail at the entry point: unchecked,
+    an unknown side is read as ``v`` and α = 0 reads a τ = 0 slice that does
+    not exist, and both return an answer."""
+    q = _query_vertex(rand_edges[1], 2, 2)
+    with pytest.raises(ValueError, match=match):
+        _PATHS[path](indexed, rand_dfs[1], q, qside, alpha, beta)
+
+
 class TestFig2:
     def test_community_fig2_22(self, fig2_df, fig2_edges):
         got = eset_df(q_online(fig2_df, 3, "u", 2, 2))
@@ -106,19 +140,16 @@ class TestFig2:
         got = eset_df(q_online(fig2_df, 1, "u", 3, 3))
         assert got == {(u, v) for u in (1, 2, 3) for v in (1, 2, 3)}
 
-    def test_q_opt_beta_side(self, fig2_df, fig2_edges):
+    def test_q_opt_beta_side(self, indexed, fig2_edges):
         """α > β routes through the I_δ^β part."""
-        idx = build_idelta(fig2_df)
-        got = eset_df(q_opt(idx, 1, "u", 3, 2))
+        got = eset_df(q_opt(indexed("fig2", "idelta"), 1, "u", 3, 2))
         assert got == eset(R.community(fig2_edges, 1, "u", 3, 2))
 
-    def test_query_not_in_core(self, fig2_df):
-        idx = build_idelta(fig2_df)
-        assert q_opt(idx, 4, "u", 3, 3).count() == 0
+    def test_query_not_in_core(self, indexed):
+        assert q_opt(indexed("fig2", "idelta"), 4, "u", 3, 3).count() == 0
 
-    def test_lower_side_query(self, fig2_df):
-        idx = build_idelta(fig2_df)
-        got = eset_df(q_opt(idx, 1, "v", 3, 3))
+    def test_lower_side_query(self, indexed):
+        got = eset_df(q_opt(indexed("fig2", "idelta"), 1, "v", 3, 3))
         assert got == {(u, v) for u in (1, 2, 3) for v in (1, 2, 3)}
 
 
