@@ -8,7 +8,7 @@ extra-edge-touching cost the paper's ``I_δ`` eliminates.
 Our analogue stores vertex offsets only, degeneracy-bounded like the
 original (O(m)-ish): rows ``(kind, tau, side, id, off)`` where kind ``a``
 holds ``s_a(·,τ) >= τ`` and kind ``b`` holds ``s_b(·,τ) > τ`` for
-τ in [1, δ]. This is the only place the δ-slice offset fixpoints run:
+τ in [1, δ]. This is the only place the δ-slice offset peels run:
 ``I_δ`` is ``I_v`` joined onto the edge list (``repro.core.index_delta``).
 Both indexes are read through :func:`slice_of`.
 """
@@ -32,10 +32,6 @@ def slice_of(alpha: int, beta: int) -> tuple[str, int, int]:
 def build_iv(edges: DataFrame, *, delta_val: int | None = None) -> DataFrame:
     """Construct ``I_v`` (see module doc for schema)."""
     d = delta_val if delta_val is not None else delta(edges, coreness_df=coreness(edges))
-    spark = edges.sparkSession
-    schema = "kind string, tau int, side string, id long, off int"
-    if d == 0:
-        return spark.createDataFrame([], schema)
     taus = range(1, d + 1)
     sa = alpha_offsets(edges, taus).where(F.col("off") >= F.col("alpha"))
     sb = beta_offsets(edges, taus).where(F.col("off") > F.col("beta"))

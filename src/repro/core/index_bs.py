@@ -11,8 +11,9 @@ the α partition (sortedness is irrelevant to a filter, partition pruning
 replaces the per-α lookup). Size is O(Σ_α size((α,1)-core)) = O(α_max · m),
 exactly the blow-up on high-degree layers that motivates ``I_δ``.
 
-All α slices are produced by ONE offset fixpoint (DESIGN.md §2), then a
-single join against the edge list.
+All α slices come from one call of ``alpha_offsets`` — one collect of the
+edge list and one offset peel per slice on the driver (DESIGN.md §2) —
+then a single join against the edge list.
 """
 from __future__ import annotations
 

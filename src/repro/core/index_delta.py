@@ -13,8 +13,9 @@ Those endpoint sets are exactly the slices of the bicore index ``I_v``, so
 ``I_v``. Rows are ``(side, tau, u, v, w, off_u, off_v)``. Since every
 non-empty (α,β)-core has min(α,β) <= δ (Lemma 4), these 2δ slices cover
 every (α,β)-community; each slice is O(size(R_ττ)) so the index is O(δ·m)
-(Lemma 5), built from ``I_v``'s two δ-slice offset fixpoints (Lemma 6's
-O(δ·m) bound).
+(Lemma 5), built from ``I_v``'s 2δ offset peels (Lemma 6's O(δ·m) bound).
+The join runs once, in :func:`build_idelta`, which returns the index
+materialised: saving it or querying it in memory reads those rows.
 """
 from __future__ import annotations
 
@@ -23,10 +24,12 @@ from pyspark.sql import functions as F
 
 from repro.core.index_bicore import build_iv, slice_of
 from repro.core.index_bs import _annotate
+from repro.graph.schema import checkpoint
 
 
 def build_idelta(edges: DataFrame, *, delta_val: int | None = None) -> DataFrame:
-    """Construct ``I_δ`` as a single DataFrame (see module doc for schema)."""
+    """Construct ``I_δ`` as a single materialised DataFrame (see module
+    doc for schema)."""
     iv = build_iv(edges, delta_val=delta_val)
     # One join per part: annotating both parts in one join wrote up to twice
     # the Parquet files of a saved index.
@@ -34,7 +37,7 @@ def build_idelta(edges: DataFrame, *, delta_val: int | None = None) -> DataFrame
         _annotate(edges, iv.where(F.col("kind") == part), ["kind", "tau"])
         for part in ("a", "b")
     )
-    return side_a.unionByName(side_b).withColumnRenamed("kind", "side")
+    return checkpoint(side_a.unionByName(side_b).withColumnRenamed("kind", "side"))
 
 
 def core_edges(idelta: DataFrame, alpha: int, beta: int) -> DataFrame:

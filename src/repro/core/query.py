@@ -1,7 +1,8 @@
 """(α,β)-community retrieval: ``Q_o``, ``Q_v``, ``Q_bs``, ``Q_opt``.
 
-All four return the edge DataFrame ``(u, v, w)`` of ``C_αβ(q)`` (empty when
-q is outside the (α,β)-core). They differ in what they must touch:
+All four return the edge DataFrame of ``C_αβ(q)`` with columns ``(u, v, w)``
+in that order (empty when q is outside the (α,β)-core). They differ in what
+they must touch:
 
 * ``q_online`` (Q_o, Ding et al. [16]) — no index: peel the whole graph to
   the (α,β)-core, then BFS from q. Per-query cost ∝ m.

@@ -118,7 +118,7 @@ def run(spark: SparkSession, *, n_queries: int = 3) -> pd.DataFrame:
     structure = variants["AE"]
     d = delta(structure, coreness_df=coreness(structure))
     a = b = max(2, round(0.7 * d))
-    idelta = checkpoint(build_idelta(structure, delta_val=d))
+    idelta = build_idelta(structure, delta_val=d)
     queries = pick_queries(idelta, a, b, n=n_queries)
 
     results: dict[str, dict[str, list[float]]] = {

@@ -12,11 +12,12 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.schema import checkpoint
+from repro.graph.schema import EDGE_COLS, checkpoint
 
 
 def component_of(edges: DataFrame, q: int, qside: str = "u") -> DataFrame:
-    """Edges of the connected component containing ``(qside, q)``.
+    """Edges of the connected component containing ``(qside, q)``, as
+    columns ``(u, v, w)`` in that order.
 
     Returns an empty edge DataFrame when ``q`` is not incident to any edge.
     Stops: ``seen`` strictly grows each round or the loop returns.
@@ -46,9 +47,12 @@ def component_of(edges: DataFrame, q: int, qside: str = "u") -> DataFrame:
             # edge filter then needs no shuffle and no runtime bloom filter.
             # As a shuffle join, collecting a DT community took 7 Spark jobs
             # instead of 3 and grew the driver's live heap by ~3.5 MB each.
+            # A USING join puts its key first: project back to (u, v, w).
             return edges.join(
                 F.broadcast(seen_u.withColumnRenamed("id", "u")), "u", "semi"
-            ).join(F.broadcast(seen_v.withColumnRenamed("id", "v")), "v", "semi")
+            ).join(
+                F.broadcast(seen_v.withColumnRenamed("id", "v")), "v", "semi"
+            ).select(*EDGE_COLS)
         seen_u = checkpoint(seen_u.union(new_u))
         seen_v = checkpoint(seen_v.union(new_v))
         frontier_u, frontier_v = new_u, new_v

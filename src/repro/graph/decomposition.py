@@ -1,55 +1,143 @@
-"""Offset and coreness decomposition via monotone h-index fixpoints.
+"""Offset and coreness decomposition by the paper's sequential peels.
 
-The sequential paper computes α-offsets ``s_a(x, α)`` (Definition 6: the
-largest β with x in the (α,β)-core) by bin-sort peeling once per α. The
-distributed reformulation used here is a *greatest-fixpoint iteration*
-(the bipartite, fixed-α generalization of the distributed k-core
-decomposition of Montresor et al. / the h-index iteration of Lü et al.):
+The α-offset ``s_a(x, α)`` (Definition 6) is the largest β with x in the
+(α,β)-core; the β-offset ``s_b(x, β)`` is the largest α with x in the
+(α,β)-core. The paper computes one slice of them by a bin-sort peel
+(Alg. 1/3): hold one layer's bound at τ, raise the other layer's bound one
+step at a time, and record for each vertex the last bound it survived.
+Every edge is removed once, so a slice costs O(m) and the 2δ slices of
+``I_δ`` cost O(δ·m) (Lemma 6). The k-core numbers (:func:`coreness`, whose
+maximum is the degeneracy δ) come from the same peel with both bounds
+raised together — Batagelj–Zaversnik's O(m) k-core algorithm.
 
-    val(v ∈ L) = h-index of { val(u) : u ∈ N(v) }
-    val(u ∈ U) = 0 if deg(u) < α else the α-th largest of { val(v) : v ∈ N(u) }
-
-started from degree upper bounds. Correctness sketch (verified against the
-sequential reference in tests):
-
-* the true offsets are a fixpoint — if s_a(v,α) were smaller than the
-  h-index of its neighbours' offsets, v would have ≥ s_a+1 neighbours inside
-  the (α, s_a+1)-core and could be added to it, contradicting maximality
-  (and symmetrically for the α-th-largest rule on U);
-* any fixpoint is ≤ the true offsets — the vertices with value ≥ β induce a
-  subgraph meeting the (α,β) degree constraints, hence lie in the (α,β)-core;
-* the iteration is monotone non-increasing from the upper bounds, so it
-  converges to the greatest fixpoint, which by the two points above equals
-  the true offsets.
-
-Every requested α slice is computed in a *single* fixpoint by crossing the
-edge list with the α range and grouping by ``(alpha, vertex)`` — index
-construction is then a handful of Spark jobs instead of α_max sequential
-peels.
+Each entry point collects the edge list's ``(u, v)`` pairs once (one Spark
+job), runs the pure-Python peel (:func:`offset_peel`, :func:`core_peel`)
+on the driver and returns the result through ``createDataFrame`` with
+non-null columns. The driver therefore holds the edge list and every
+requested slice's offsets, which is fine at this repo's ≤ 25,000 edges
+(``repro.datasets`` builds every graph in driver memory anyway).
 """
 from __future__ import annotations
 
 from collections.abc import Iterable
 
-from pyspark.sql import Column, DataFrame
+import pandas as pd
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.schema import adjacency, checkpoint, degrees
+from repro.graph.schema import degrees
+
+_Vertex = tuple[str, int]  # (side, id)
 
 
-def _hindex(vals: Column) -> Column:
-    """h-index of an array column: max h with at least h elements >= h."""
-    arr = F.sort_array(vals, asc=False)
-    flags = F.zip_with(
-        arr, F.sequence(F.lit(1), F.size(arr)), lambda x, i: x >= i
+def _graph(pairs: list[tuple[int, int]]) -> tuple[list[_Vertex], list[list[int]]]:
+    """The edge list as dense adjacency lists: vertex ``x`` is ``keys[x]``
+    and ``adj[x]`` lists its neighbours, one entry per edge."""
+    index: dict[_Vertex, int] = {}
+    adj: list[list[int]] = []
+    for u, v in pairs:
+        ends = []
+        for key in (("u", u), ("v", v)):
+            x = index.setdefault(key, len(adj))
+            if x == len(adj):
+                adj.append([])
+            ends.append(x)
+        a, b = ends
+        adj[a].append(b)
+        adj[b].append(a)
+    return list(index), adj
+
+
+def _peel(adj: list[list[int]], held: list[int]) -> list[int]:
+    """Each vertex's last survived bound.
+
+    A vertex ``x`` with ``held[x] > 0`` keeps the bound ``held[x]``; every
+    other vertex has the rising bound ``b`` = 1, 2, .... A vertex leaves
+    once its degree among the remaining vertices falls below its bound; one
+    that leaves while the rising bound is ``b`` gets ``b - 1``. Rising
+    vertices wait in bins by degree (degrees only fall, so a stale bin
+    entry has already left); each edge is removed once, when its first
+    endpoint leaves.
+    """
+    deg = [len(a) for a in adj]
+    last: list[int | None] = [None] * len(adj)
+    bins: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for x, d in enumerate(deg):
+        if not held[x]:
+            bins[d].append(x)
+    leaving = []
+
+    def leave(x: int, b: int) -> None:
+        last[x] = b - 1
+        leaving.append(x)
+
+    for x, d in enumerate(deg):
+        if held[x] and d < held[x]:
+            leave(x, 1)
+    for b in range(1, len(bins) + 1):
+        for x in bins[b - 1]:
+            if last[x] is None:
+                leave(x, b)
+        while leaving:
+            for y in adj[leaving.pop()]:
+                if last[y] is None:
+                    deg[y] -= 1
+                    if deg[y] < (held[y] or b):
+                        leave(y, b)
+                    elif not held[y]:
+                        bins[deg[y]].append(y)
+    return last
+
+
+def offset_peel(
+    pairs: list[tuple[int, int]], taus: Iterable[int], held: str
+) -> list[tuple[int, str, int, int]]:
+    """Rows ``(τ, side, id, off)`` for every vertex of the ``(u, v)`` edge
+    list and every τ in ``taus`` (each at least 1), zero offsets included.
+
+    ``held="u"`` holds the upper layer's bound at α=τ and raises β, which
+    gives ``s_a(·, τ)``; ``held="v"`` holds β=τ and raises α, which gives
+    ``s_b(·, τ)``.
+    """
+    keys, adj = _graph(pairs)
+    rows = []
+    for tau in taus:
+        last = _peel(adj, [tau if side == held else 0 for side, _ in keys])
+        rows += [(tau, side, i, off) for (side, i), off in zip(keys, last)]
+    return rows
+
+
+def core_peel(pairs: list[tuple[int, int]]) -> list[tuple[str, int, int]]:
+    """Rows ``(side, id, core)``: the k-core number of every vertex of the
+    ``(u, v)`` edge list viewed as unipartite."""
+    keys, adj = _graph(pairs)
+    last = _peel(adj, [0] * len(keys))
+    return [(side, i, core) for (side, i), core in zip(keys, last)]
+
+
+def _pairs(edges: DataFrame) -> list[tuple[int, int]]:
+    """The edge list's ``(u, v)`` pairs on the driver (one Spark job)."""
+    return [(int(u), int(v)) for u, v in edges.select("u", "v").collect()]
+
+
+def _frame(edges: DataFrame, rows: list[tuple], schema: str) -> DataFrame:
+    """``rows`` in the DDL ``schema``, through pandas and Arrow."""
+    names = [field.split()[0] for field in schema.split(",")]
+    return edges.sparkSession.createDataFrame(
+        pd.DataFrame(rows, columns=names), schema
     )
-    return F.size(F.filter(flags, lambda b: b))
 
 
-def _kth_largest(vals: Column, k: Column) -> Column:
-    """k-th largest element of an array column, 0 when fewer than k items."""
-    arr = F.sort_array(vals, asc=False)
-    return F.coalesce(F.get(arr, k - F.lit(1)), F.lit(0))
+def _offsets(
+    edges: DataFrame, taus: Iterable[int], held: str, col: str
+) -> DataFrame:
+    tlist = sorted({int(t) for t in taus})
+    rows = offset_peel(_pairs(edges), tlist, held) if tlist else []
+    return _frame(
+        edges, rows,
+        f"{col} int not null, side string not null, id long not null, "
+        "off int not null",
+    )
 
 
 def alpha_offsets(edges: DataFrame, alphas: Iterable[int]) -> DataFrame:
@@ -58,140 +146,26 @@ def alpha_offsets(edges: DataFrame, alphas: Iterable[int]) -> DataFrame:
     Returns ``(alpha: int, side: 'u'|'v', id: long, off: int)`` including
     zero offsets (callers filter ``off >= 1`` for (α,1)-core membership).
     """
-    return _offsets_fixpoint(edges, alphas, swap=False)
+    return _offsets(edges, alphas, "u", "alpha")
 
 
 def beta_offsets(edges: DataFrame, betas: Iterable[int]) -> DataFrame:
     """``s_b(x, β)`` for every vertex and every β in ``betas`` — symmetric to
     :func:`alpha_offsets`, returned as ``(beta, side, id, off)``."""
-    swapped = edges.select(
-        F.col("v").alias("u"), F.col("u").alias("v"), "w"
-    )
-    out = _offsets_fixpoint(swapped, betas, swap=True)
-    return out.withColumnRenamed("alpha", "beta")
-
-
-def _offsets_fixpoint(
-    edges: DataFrame, alphas: Iterable[int], *, swap: bool
-) -> DataFrame:
-    """Shared fixpoint engine. With ``swap=True`` the caller has exchanged
-    the layers, so output sides are flipped back before returning.
-
-    Stops: values only fall (``least``), so their sum, a non-negative
-    integer, drops every sweep until it stays equal, where the loop returns.
-    """
-    spark = edges.sparkSession
-    alist = sorted({int(a) for a in alphas})
-    if not alist:
-        return spark.createDataFrame([], "alpha int, side string, id long, off int")
-    alphas_df = spark.createDataFrame([(a,) for a in alist], "alpha int")
-    du, dv = degrees(edges)
-    ea = checkpoint(edges.select("u", "v").crossJoin(alphas_df))
-
-    # Upper bounds: L side starts at its degree; U side at the α-th largest
-    # neighbour degree, gated by deg(u) >= α (one operator application).
-    vals_v = checkpoint(
-        dv.crossJoin(alphas_df).select(
-            "alpha", "v", F.col("deg").cast("int").alias("val")
-        )
-    )
-    vals_u = checkpoint(_update_u(ea, vals_v, du, prev=None))
-
-    prev_total = None
-    while True:
-        vals_v = checkpoint(_update_v(ea, vals_u, prev=vals_v))
-        vals_u = checkpoint(_update_u(ea, vals_v, du, prev=vals_u))
-        total = (
-            vals_u.agg(F.sum("val")).first()[0] or 0
-        ) + (vals_v.agg(F.sum("val")).first()[0] or 0)
-        if total == prev_total:
-            u_side, v_side = ("v", "u") if swap else ("u", "v")
-            out_u = vals_u.select(
-                "alpha", F.lit(u_side).alias("side"),
-                F.col("u").alias("id"), F.col("val").alias("off"),
-            )
-            out_v = vals_v.select(
-                "alpha", F.lit(v_side).alias("side"),
-                F.col("v").alias("id"), F.col("val").alias("off"),
-            )
-            return out_u.unionByName(out_v)
-        prev_total = total
-
-
-def _update_v(ea: DataFrame, vals_u: DataFrame, *, prev: DataFrame) -> DataFrame:
-    """L-side sweep: h-index of neighbour U values, clamped non-increasing."""
-    agg = (
-        ea.join(vals_u, ["alpha", "u"])
-        .groupBy("alpha", "v")
-        .agg(_hindex(F.collect_list("val")).alias("nval"))
-    )
-    return agg.join(prev, ["alpha", "v"]).select(
-        "alpha", "v", F.least("nval", "val").alias("val")
-    )
-
-
-def _update_u(
-    ea: DataFrame, vals_v: DataFrame, du: DataFrame, *, prev: DataFrame | None
-) -> DataFrame:
-    """U-side sweep: α-th largest neighbour L value, 0 when deg(u) < α."""
-    agg = (
-        ea.join(vals_v, ["alpha", "v"])
-        .groupBy("alpha", "u")
-        .agg(_kth_largest(F.collect_list("val"), F.col("alpha")).alias("nval"))
-    )
-    gated = agg.join(du, "u").select(
-        "alpha",
-        "u",
-        F.when(F.col("deg") >= F.col("alpha"), F.col("nval"))
-        .otherwise(F.lit(0))
-        .cast("int")
-        .alias("nval"),
-    )
-    if prev is None:
-        return gated.withColumnRenamed("nval", "val")
-    return gated.join(prev, ["alpha", "u"]).select(
-        "alpha", "u", F.least("nval", "val").alias("val")
-    )
+    return _offsets(edges, betas, "v", "beta")
 
 
 def coreness(edges: DataFrame) -> DataFrame:
     """k-core number of every vertex of the graph viewed as unipartite.
 
-    The (τ,τ)-core equals the k-core with k = τ, so this single fixpoint
-    yields the paper's degeneracy δ (= max coreness) and every (τ,τ)-core
+    The (τ,τ)-core equals the k-core with k = τ, so this one peel yields
+    the paper's degeneracy δ (= max coreness) and every (τ,τ)-core
     (vertices with coreness ≥ τ). Returns ``(side, id, core: int)``.
-
-    Stops: values only fall (``least``), so their sum, a non-negative
-    integer, drops every sweep until it stays equal, where the loop returns.
     """
-    adj = checkpoint(adjacency(edges))
-    vals = checkpoint(
-        adj.groupBy("xs", "xi").agg(F.count(F.lit(1)).cast("int").alias("val"))
+    return _frame(
+        edges, core_peel(_pairs(edges)),
+        "side string not null, id long not null, core int not null",
     )
-    prev_total = None
-    while True:
-        nbr = adj.join(
-            vals.select(
-                F.col("xs").alias("ys"), F.col("xi").alias("yi"), "val"
-            ),
-            ["ys", "yi"],
-        )
-        agg = nbr.groupBy("xs", "xi").agg(
-            _hindex(F.collect_list("val")).alias("nval")
-        )
-        vals = checkpoint(
-            agg.join(vals, ["xs", "xi"]).select(
-                "xs", "xi", F.least("nval", "val").alias("val")
-            )
-        )
-        total = vals.agg(F.sum("val")).first()[0] or 0
-        if total == prev_total:
-            return vals.select(
-                F.col("xs").alias("side"),
-                F.col("xi").alias("id"),
-                F.col("val").alias("core"),
-            )
-        prev_total = total
 
 
 def delta(edges: DataFrame, *, coreness_df: DataFrame | None = None) -> int:

@@ -13,7 +13,7 @@ from repro.core.index_bs import build_ibs_alpha, build_ibs_beta
 from repro.core.index_delta import build_idelta
 from repro.core.query import q_bicore, q_bs, q_online, q_opt
 from repro.reference import ref_graph as R
-from tests.util import eset, eset_df
+from tests.util import eset, eset_df, eset_result
 
 
 _BUILDERS = {
@@ -54,7 +54,7 @@ def test_q_online(rand_edges, rand_dfs, seed, alpha, beta):
     q = _query_vertex(rand_edges[seed], alpha, beta)
     if q is None:
         pytest.skip("empty core")
-    got = eset_df(q_online(rand_dfs[seed], q, "u", alpha, beta))
+    got = eset_result(q_online(rand_dfs[seed], q, "u", alpha, beta))
     assert got == _expected(rand_edges[seed], q, alpha, beta)
 
 
@@ -63,7 +63,7 @@ def test_q_opt(rand_edges, indexed, seed, alpha, beta):
     q = _query_vertex(rand_edges[seed], alpha, beta)
     if q is None:
         pytest.skip("empty core")
-    got = eset_df(q_opt(indexed(seed, "idelta"), q, "u", alpha, beta))
+    got = eset_result(q_opt(indexed(seed, "idelta"), q, "u", alpha, beta))
     assert got == _expected(rand_edges[seed], q, alpha, beta)
 
 
@@ -72,7 +72,7 @@ def test_q_bicore(rand_edges, rand_dfs, indexed, seed, alpha, beta):
     q = _query_vertex(rand_edges[seed], alpha, beta)
     if q is None:
         pytest.skip("empty core")
-    got = eset_df(
+    got = eset_result(
         q_bicore(indexed(seed, "iv"), rand_dfs[seed], q, "u", alpha, beta)
     )
     assert got == _expected(rand_edges[seed], q, alpha, beta)
@@ -83,7 +83,7 @@ def test_q_bs(rand_edges, indexed, seed, alpha, beta):
     q = _query_vertex(rand_edges[seed], alpha, beta)
     if q is None:
         pytest.skip("empty core")
-    got = eset_df(
+    got = eset_result(
         q_bs(indexed(seed, "ibs_a"), indexed(seed, "ibs_b"), q, "u", alpha, beta)
     )
     assert got == _expected(rand_edges[seed], q, alpha, beta)

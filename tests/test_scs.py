@@ -17,7 +17,7 @@ from repro.core.scs import (
 from repro.graph.schema import edges_df
 from repro.reference import ref_graph as R
 from repro.reference import ref_scs as RS
-from tests.util import eset, eset_df, rand_bipartite, wset_df
+from tests.util import eset, eset_df, eset_result, rand_bipartite, wset_df
 
 
 def _case(seed, alpha, beta, qside="u"):
@@ -46,13 +46,13 @@ def _setup(rand_edges, rand_dfs, seed, alpha, beta, qside):
 @pytest.mark.parametrize("seed,alpha,beta,qside", CASES)
 def test_scs_peel_matches_reference(rand_edges, rand_dfs, seed, alpha, beta, qside):
     q, exp, community = _setup(rand_edges, rand_dfs, seed, alpha, beta, qside)
-    assert eset_df(scs_peel(community, q, qside, alpha, beta)) == exp
+    assert eset_result(scs_peel(community, q, qside, alpha, beta)) == exp
 
 
 @pytest.mark.parametrize("seed,alpha,beta,qside", CASES)
 def test_scs_expand_matches_reference(rand_edges, rand_dfs, seed, alpha, beta, qside):
     q, exp, community = _setup(rand_edges, rand_dfs, seed, alpha, beta, qside)
-    assert eset_df(scs_expand(community, q, qside, alpha, beta)) == exp
+    assert eset_result(scs_expand(community, q, qside, alpha, beta)) == exp
 
 
 @pytest.mark.parametrize("seed,alpha,beta,qside", CASES[:3] + CASES[5:6])
@@ -60,7 +60,7 @@ def test_scs_baseline_matches_reference(
     rand_edges, rand_dfs, seed, alpha, beta, qside
 ):
     q, exp, _ = _setup(rand_edges, rand_dfs, seed, alpha, beta, qside)
-    assert eset_df(scs_baseline(rand_dfs[seed], q, qside, alpha, beta)) == exp
+    assert eset_result(scs_baseline(rand_dfs[seed], q, qside, alpha, beta)) == exp
 
 
 class TestFig2:

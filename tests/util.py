@@ -58,6 +58,14 @@ def eset_df(df) -> set[tuple[int, int]]:
     return {(int(r["u"]), int(r["v"])) for r in df.select("u", "v").collect()}
 
 
+def eset_result(df) -> set[tuple[int, int]]:
+    """(u, v) pairs of a query or search result, whose columns must be
+    exactly ``EDGE_SCHEMA``'s ``(u, v, w)`` in that order: a positional
+    union or tuple unpacking of ``(v, u, w)`` would swap the layers."""
+    assert df.columns == ["u", "v", "w"], df.columns
+    return eset_df(df)
+
+
 def wset_df(df) -> set[tuple[int, int, float]]:
     """(u, v, w) triples of a Spark edge DataFrame."""
     return {
