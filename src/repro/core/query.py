@@ -5,15 +5,17 @@ in that order (empty when q is outside the (α,β)-core). They differ in what
 they must touch:
 
 * ``q_online`` (Q_o, Ding et al. [16]) — no index: peel the whole graph to
-  the (α,β)-core, then BFS from q. Per-query cost ∝ m.
+  the (α,β)-core (``abcore``), then BFS from q. Per-query cost ∝ m.
 * ``q_bicore`` (Q_v over I_v, Liu et al. [15]) — index gives the core's
   *vertex set*; the community's edges must be recovered by semi-joining the
-  full edge list (touches all of E once).
+  full edge list in Spark (touches all of E once), then BFS from q.
 * ``q_bs`` (over I_bs^α / I_bs^β) — filter the α partition by
   ``off >= β`` (α <= β) or the β partition by ``off >= α``, BFS from q.
   Optimal per the paper, but the index behind it is O(α_max·m).
 * ``q_opt`` (Q_opt over I_δ) — pick side by min(α,β), filter one τ
   partition, BFS from q. Optimal with an O(δ·m) index.
+
+Every BFS is ``component_of``: one collect, then a walk on the driver.
 
 Each rejects α < 1, β < 1 and a side other than ``u``/``v`` with
 ``ValueError`` before it touches Spark.

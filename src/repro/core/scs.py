@@ -1,15 +1,15 @@
 """Significant (α,β)-community search: SCS-Peel, SCS-Expand, SCS-Baseline.
 
 All three compute the unique ``R`` of Definition 5. Step 1 of the paper
-(retrieving ``C_αβ(q)`` through an index) runs in Spark
-(``repro.core.query``). Step 2 runs here, on the driver: each entry point
-collects its search space once — the community for ``scs_peel`` and
-``scs_expand``, q's component of the whole graph for ``scs_baseline`` —
-runs a sequential kernel over those rows and returns ``R`` as an edge
-DataFrame. A search therefore costs one collect plus driver work in
-proportion to the size of its search space, not one Spark barrier per
-weight threshold. The search space is a subgraph of a graph that is itself
-built in driver memory (``repro.datasets``), so it always fits there.
+(retrieving ``C_αβ(q)`` through an index) is ``repro.core.query``. Step 2
+runs here, on the driver: each entry point collects its search space once
+(``components.on_driver``) — the community for ``scs_peel`` and
+``scs_expand``, the whole graph for ``scs_baseline`` — runs a sequential
+kernel over those rows and returns ``R`` as an edge DataFrame. A search
+therefore costs one collect plus driver work in proportion to the size of
+its search space, not one Spark barrier per weight threshold. The search
+space is a subgraph of a graph that is itself built in driver memory
+(``repro.datasets``), so it always fits there.
 
 * ``peel_kernel`` — Alg. 4 (SCS-Peel) literally: sort the edges by weight
   once, remove each distinct-weight batch followed by a degree-driven
@@ -26,52 +26,30 @@ built in driver memory (``repro.datasets``), so it always fits there.
   ``peel_kernel`` on ``C*`` returns. Each check costs O(size(C*)), and the
   rungs double the inserted edge count, so the checks cost O(size(C)).
 * ``scs_baseline`` — the same expansion over q's component of the whole
-  graph (no step-1 community): cost anchored to size(G).
+  graph (no step-1 community; the shared BFS ``components.component``
+  finds it): cost anchored to size(G).
 
 With all weights equal every kernel returns q's component of the
 (α,β)-core: the first batch removes every edge.
 
-The entry points reject α < 1, β < 1, a side other than ``u``/``v`` and
-non-finite weights with ``ValueError``.
+The entry points reject α < 1, β < 1, a side other than ``u``/``v``,
+non-finite weights and a duplicate ``(u, v)`` pair with ``ValueError``.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter, defaultdict
 from itertools import groupby
 
 from pyspark.sql import DataFrame
 
-from repro.graph.components import component_of
-from repro.graph.schema import EDGE_SCHEMA, check_query
+from repro.graph.components import (
+    Edge, Vertex, component, ends, incidence, on_driver,
+)
+from repro.graph.schema import check_query
 # Unused here; perfbench/layers.py looks up scs.has_vertex by name to trace it.
 from repro.graph.schema import has_vertex  # noqa: F401
 
-Edge = tuple[int, int, float]
-_Vertex = tuple[str, int]  # (side, id)
 EPS = 2.0  # SCS-Expand's rung growth factor ε (the paper's Alg. 5 value)
-
-
-def _ends(e: Edge) -> tuple[_Vertex, _Vertex]:
-    return ("u", e[0]), ("v", e[1])
-
-
-def _component(
-    edges: list[Edge], inc: dict[_Vertex, list[int]], q: _Vertex, keep=None
-) -> list[Edge]:
-    """Edges of q's connected component, over the edges ``i`` listed in
-    ``inc`` for which ``keep(i)`` holds (all of them when ``keep`` is None)."""
-    seen, stack, out = {q}, [q], set()
-    while stack:
-        for i in inc.get(stack.pop(), ()):
-            if i in out or (keep is not None and not keep(i)):
-                continue
-            out.add(i)
-            for y in _ends(edges[i]):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return [edges[i] for i in sorted(out)]
 
 
 def peel_kernel(
@@ -80,21 +58,18 @@ def peel_kernel(
     """SCS-Peel (paper Alg. 4) over an edge list; ``[]`` when q is not in
     its (α,β)-core."""
     need = {"u": alpha, "v": beta}
-    inc: dict[_Vertex, list[int]] = defaultdict(list)
-    for i, e in enumerate(edges):
-        for x in _ends(e):
-            inc[x].append(i)
+    inc = incidence(edges)
     deg = {x: len(ids) for x, ids in inc.items()}
     removed_in: list[int | None] = [None] * len(edges)
 
-    def drop(i: int, batch: int, dying: list[_Vertex]) -> None:
+    def drop(i: int, batch: int, dying: list[Vertex]) -> None:
         removed_in[i] = batch
-        for x in _ends(edges[i]):
+        for x in ends(edges[i]):
             deg[x] -= 1
             if deg[x] == need[x[0]] - 1:  # fell below its bound just now
                 dying.append(x)
 
-    def cascade(dying: list[_Vertex], batch: int) -> None:
+    def cascade(dying: list[Vertex], batch: int) -> None:
         while dying:
             for i in inc[dying.pop()]:
                 if removed_in[i] is None:
@@ -106,13 +81,13 @@ def peel_kernel(
         return []
     order = sorted(range(len(edges)), key=lambda i: edges[i][2])
     for b, (_, batch) in enumerate(groupby(order, key=lambda i: edges[i][2])):
-        dying: list[_Vertex] = []
+        dying: list[Vertex] = []
         for i in batch:
             if removed_in[i] is None:
                 drop(i, b, dying)
         cascade(dying, b)
         if deg[qk] < need[qside]:
-            return _component(
+            return component(
                 edges, inc, qk, lambda i: removed_in[i] is None or removed_in[i] >= b
             )
     raise AssertionError("q survived its last incident edge")  # unreachable
@@ -123,7 +98,7 @@ def _lemma7_ok(m: int, n_u: int, n_l: int, alpha: int, beta: int) -> bool:
     return alpha * beta - alpha - beta <= m - n_u - n_l
 
 
-def _lemma8_ok(cstar: list[Edge], q: _Vertex, alpha: int, beta: int) -> bool:
+def _lemma8_ok(cstar: list[Edge], q: Vertex, alpha: int, beta: int) -> bool:
     """Lemma 8: C* must contain >= β U-vertices of degree >= α and >= α
     L-vertices of degree >= β, with q among the qualifying vertices."""
     du = Counter(u for u, _, _ in cstar)
@@ -163,11 +138,11 @@ def expand_kernel(
     hist = [(w, len(list(g))) for w, g in groupby(sorted(e[2] for e in edges))]
     order = sorted(edges, key=lambda e: e[2], reverse=True)
     inserted: list[Edge] = []
-    inc: dict[_Vertex, list[int]] = defaultdict(list)
-    parent: dict[_Vertex, _Vertex] = {}
-    counts: dict[_Vertex, list[int]] = {}  # root -> [|E|, |U|, |L|]
+    inc: dict[Vertex, list[int]] = defaultdict(list)
+    parent: dict[Vertex, Vertex] = {}
+    counts: dict[Vertex, list[int]] = {}  # root -> [|E|, |U|, |L|]
 
-    def find(x: _Vertex) -> _Vertex:
+    def find(x: Vertex) -> Vertex:
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]
@@ -175,7 +150,7 @@ def expand_kernel(
 
     def insert(e: Edge) -> None:
         roots = []
-        for x in _ends(e):
+        for x in ends(e):
             inc[x].append(len(inserted))
             if x not in parent:
                 parent[x] = x
@@ -195,7 +170,7 @@ def expand_kernel(
             insert(order[len(inserted)])
         if qk not in parent or not _lemma7_ok(*counts[find(qk)], alpha, beta):
             continue
-        cstar = _component(inserted, inc, qk)
+        cstar = component(inserted, inc, qk)
         if not _lemma8_ok(cstar, qk, alpha, beta):
             continue
         r = peel_kernel(cstar, q, qside, alpha, beta)
@@ -204,26 +179,12 @@ def expand_kernel(
     return []
 
 
-def _collect(df: DataFrame) -> list[Edge]:
-    """The search space on the driver (one Spark action); rejects weights
-    that are null, NaN or infinite."""
-    rows = df.select("u", "v", "w").collect()
-    if any(w is None or not math.isfinite(w) for _, _, w in rows):
-        raise ValueError("edge weights must be finite")
-    return [(int(u), int(v), float(w)) for u, v, w in rows]
-
-
-def _search(space: DataFrame, kernel) -> DataFrame:
-    """``kernel`` run over the collected ``space``, as an edge DataFrame."""
-    return space.sparkSession.createDataFrame(kernel(_collect(space)), EDGE_SCHEMA)
-
-
 def scs_peel(
     community: DataFrame, q: int, qside: str, alpha: int, beta: int
 ) -> DataFrame:
     """SCS-Peel (paper Alg. 4) given ``C_αβ(q)`` (e.g. from ``q_opt``)."""
     check_query(qside, alpha, beta)
-    return _search(community, lambda es: peel_kernel(es, q, qside, alpha, beta))
+    return on_driver(community, lambda es: peel_kernel(es, q, qside, alpha, beta))
 
 
 def scs_expand(
@@ -231,7 +192,7 @@ def scs_expand(
 ) -> DataFrame:
     """SCS-Expand (paper Alg. 5) given ``C_αβ(q)``."""
     check_query(qside, alpha, beta)
-    return _search(community, lambda es: expand_kernel(es, q, qside, alpha, beta))
+    return on_driver(community, lambda es: expand_kernel(es, q, qside, alpha, beta))
 
 
 def scs_baseline(
@@ -240,7 +201,5 @@ def scs_baseline(
     """SCS-Baseline: expansion from q's component of the WHOLE graph —
     no index, no step-1 restriction (the paper's baseline)."""
     check_query(qside, alpha, beta)
-    return _search(
-        component_of(edges, q, qside),
-        lambda es: expand_kernel(es, q, qside, alpha, beta),
-    )
+    return on_driver(edges, lambda es: expand_kernel(
+        component(es, incidence(es), (qside, q)), q, qside, alpha, beta))

@@ -1,18 +1,86 @@
-"""Connected-component retrieval around a query vertex.
+"""Connected-component retrieval around a query vertex, on the driver.
 
-``component_of`` runs a frontier BFS over the edge list with alternating
-semi-joins (U-frontier discovers L-vertices and vice versa). The round count
-is the eccentricity of the query vertex, which is small on the
-small-diameter graphs community search targets. The component's edge set is
-the edges whose endpoints are both reachable — exact for a connected
-component, since components are vertex-induced.
+``on_driver`` collects an edge set once (one Spark job; ``collect_edges``
+rejects bad input), runs a kernel over the rows and returns the kernel's
+edges as a DataFrame. The (α,β)-core (``repro.graph.peel``), retrieval
+(``repro.core.query``) and search (``repro.core.scs``) all reach the driver
+through it. ``component_of`` runs the library's one BFS that way, so a
+retrieval costs one collect plus driver work in proportion to the edges it
+is handed, not one Spark barrier per BFS level. Those edges are a subgraph
+of a graph built in driver memory (``repro.datasets``), so they fit there.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+import math
+from collections import defaultdict
 
-from repro.graph.schema import EDGE_COLS, checkpoint
+import pandas as pd
+from pyspark.sql import DataFrame
+
+from repro.graph.schema import EDGE_COLS, EDGE_SCHEMA
+
+Edge = tuple[int, int, float]
+Vertex = tuple[str, int]  # (side, id)
+
+
+def collect_edges(df: DataFrame) -> list[Edge]:
+    """The edge set's ``(u, v, w)`` rows on the driver (one Spark action).
+
+    Raises ``ValueError`` on a weight that is null, NaN or infinite, and on
+    a ``(u, v)`` pair that occurs twice: a peel would count that neighbour
+    twice in a degree and return a wrong core.
+    """
+    rows = df.select("u", "v", "w").collect()
+    if any(w is None or not math.isfinite(w) for _, _, w in rows):
+        raise ValueError("edge weights must be finite")
+    if len({(u, v) for u, v, _ in rows}) < len(rows):
+        raise ValueError("duplicate (u, v) edge pair")
+    return [(int(u), int(v), float(w)) for u, v, w in rows]
+
+
+def ends(e: Edge) -> tuple[Vertex, Vertex]:
+    return ("u", e[0]), ("v", e[1])
+
+
+def incidence(edges: list[Edge]) -> dict[Vertex, list[int]]:
+    """Each vertex's incident edges, as indices into ``edges``."""
+    inc: dict[Vertex, list[int]] = defaultdict(list)
+    for i, e in enumerate(edges):
+        for x in ends(e):
+            inc[x].append(i)
+    return inc
+
+
+def component(
+    edges: list[Edge], inc: dict[Vertex, list[int]], q: Vertex, keep=None
+) -> list[Edge]:
+    """Edges of q's connected component, over the edges ``i`` listed in
+    ``inc`` for which ``keep(i)`` holds (all of them when ``keep`` is None);
+    ``[]`` when q has no such edge."""
+    seen, stack, out = {q}, [q], set()
+    while stack:
+        for i in inc.get(stack.pop(), ()):
+            if i in out or (keep is not None and not keep(i)):
+                continue
+            out.add(i)
+            for y in ends(edges[i]):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+    return [edges[i] for i in sorted(out)]
+
+
+def on_driver(df: DataFrame, kernel) -> DataFrame:
+    """``kernel`` run over the collected edge set ``df``; its edge list
+    comes back as an edge DataFrame with columns ``(u, v, w)``.
+
+    The rows go through pandas and Arrow, which makes a local relation:
+    reading it back runs no Spark job. From a Python list, every read ran a
+    Python worker: creating and reading 1,675 edges took 0.32 s against
+    0.04 s (4 vCPUs, ``local[2]``).
+    """
+    out = pd.DataFrame(kernel(collect_edges(df)), columns=list(EDGE_COLS))
+    return df.sparkSession.createDataFrame(out, EDGE_SCHEMA)
 
 
 def component_of(edges: DataFrame, q: int, qside: str = "u") -> DataFrame:
@@ -20,39 +88,5 @@ def component_of(edges: DataFrame, q: int, qside: str = "u") -> DataFrame:
     columns ``(u, v, w)`` in that order.
 
     Returns an empty edge DataFrame when ``q`` is not incident to any edge.
-    Stops: ``seen`` strictly grows each round or the loop returns.
     """
-    spark = edges.sparkSession
-    empty = spark.createDataFrame([], "id long")
-    seed = spark.createDataFrame([(int(q),)], "id long")
-    seen_u, seen_v = (seed, empty) if qside == "u" else (empty, seed)
-    frontier_u, frontier_v = seen_u, seen_v
-
-    while True:
-        new_v = (
-            edges.join(frontier_u.withColumnRenamed("id", "u"), "u", "semi")
-            .select(F.col("v").alias("id"))
-            .distinct()
-            .join(seen_v, "id", "anti")
-        )
-        new_u = (
-            edges.join(frontier_v.withColumnRenamed("id", "v"), "v", "semi")
-            .select(F.col("u").alias("id"))
-            .distinct()
-            .join(seen_u, "id", "anti")
-        )
-        new_u, new_v = checkpoint(new_u), checkpoint(new_v)
-        if new_u.count() + new_v.count() == 0:
-            # Broadcast the reached vertex ids (one component's worth): the
-            # edge filter then needs no shuffle and no runtime bloom filter.
-            # As a shuffle join, collecting a DT community took 7 Spark jobs
-            # instead of 3 and grew the driver's live heap by ~3.5 MB each.
-            # A USING join puts its key first: project back to (u, v, w).
-            return edges.join(
-                F.broadcast(seen_u.withColumnRenamed("id", "u")), "u", "semi"
-            ).join(
-                F.broadcast(seen_v.withColumnRenamed("id", "v")), "v", "semi"
-            ).select(*EDGE_COLS)
-        seen_u = checkpoint(seen_u.union(new_u))
-        seen_v = checkpoint(seen_v.union(new_v))
-        frontier_u, frontier_v = new_u, new_v
+    return on_driver(edges, lambda es: component(es, incidence(es), (qside, q)))

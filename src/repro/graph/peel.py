@@ -1,50 +1,34 @@
-"""(α,β)-core computation by cascading peel (Definition 1).
+"""(α,β)-core computation (Definition 1) from one α-offset slice.
 
-Each round aggregates per-side degrees and semi-joins the edge list with the
-vertices that still meet their threshold; the fixpoint (no edge removed) is
-the (α,β)-core. This is the bulk-synchronous analogue of the sequential
-bucket peel the paper uses inside ``Q_o`` and the SCS feasibility checks.
+A vertex x is in the (α,β)-core exactly when ``s_a(x, α) ≥ β``
+(Definition 6), and the core is the subgraph induced by its vertices. So
+``abcore`` collects the edge set once (``components.on_driver``, one
+Spark job), runs the sequential offset peel of the single slice α on the
+driver (``decomposition.offset_peel``, the peel the index builds use) and
+keeps the edges whose two endpoints reach β. Like the paper's ``Q_o``, it
+costs one O(m) peel, whatever the cascade depth.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.graph.schema import checkpoint, degrees
-
-
-def peel_edges(edges: DataFrame, keep: Callable[[DataFrame], DataFrame]) -> DataFrame:
-    """Apply ``keep`` (a semi-join of its input) until no edge is removed;
-    the result is checkpointed.
-
-    Stops: the edge count strictly drops each round or the loop returns.
-    """
-    cur = checkpoint(edges)
-    n = cur.count()
-    while n:
-        nxt = checkpoint(keep(cur))
-        n2 = nxt.count()
-        if n2 == n:
-            return nxt
-        cur, n = nxt, n2
-    return cur
+from repro.graph.components import Edge, ends, on_driver
+from repro.graph.decomposition import offset_peel
+from repro.graph.schema import check_query
 
 
 def abcore(edges: DataFrame, alpha: int, beta: int) -> DataFrame:
-    """The (α,β)-core of ``edges`` as a (checkpointed) edge DataFrame.
+    """The (α,β)-core of ``edges`` as an edge DataFrame with columns
+    ``(u, v, w)`` in that order; empty (same schema) when the core is.
 
-    Returns an empty DataFrame with the same schema when the core is empty.
+    Raises ``ValueError`` for α < 1 or β < 1, and for the input
+    ``components.collect_edges`` rejects.
     """
-    if alpha <= 1 and beta <= 1:
-        # Every incident edge trivially satisfies (1,1); nothing to peel.
-        return checkpoint(edges)
+    check_query("u", alpha, beta)
 
-    def keep(cur: DataFrame) -> DataFrame:
-        du, dv = degrees(cur)
-        good_u = du.where(F.col("deg") >= alpha).select("u")
-        good_v = dv.where(F.col("deg") >= beta).select("v")
-        return cur.join(good_u, "u", "semi").join(good_v, "v", "semi")
+    def core(rows: list[Edge]) -> list[Edge]:
+        pairs = [(u, v) for u, v, _ in rows]
+        off = {(side, i): s for _, side, i, s in offset_peel(pairs, [alpha], "u")}
+        return [e for e in rows if min(off[x] for x in ends(e)) >= beta]
 
-    return peel_edges(edges, keep)
+    return on_driver(edges, core)

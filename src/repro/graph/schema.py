@@ -90,8 +90,9 @@ def has_vertex(edges: DataFrame, q: int, qside: str) -> bool:
 def checkpoint(df: DataFrame) -> DataFrame:
     """Eagerly materialise a DataFrame and truncate its lineage.
 
-    Iterative algorithms call this once per round: without it, the logical
-    plan grows linearly in the round count and Catalyst analysis time
-    dominates the actual work.
+    Callers use it to pin a result that later steps read more than once
+    (a loaded graph, an index, each round of the RWR iteration and of the
+    k-bitruss peel): without it, each read recomputes the plan, and an
+    iteration's plan grows with its round count.
     """
     return df.localCheckpoint(eager=True)

@@ -8,17 +8,18 @@ butterflies containing it:
 Dataflow: a self-join on ``v`` yields wedge endpoints, aggregated into
 common-neighbour pair counts ``P(u, u')``; a second wedge join sums
 ``P - 1`` per edge. The k-bitruss is the fixpoint of removing edges with
-support < k, run by the same peel loop as the (α,β)-core
-(``repro.graph.peel.peel_edges``; support recomputed from scratch per round —
-the cascades are shallow at reproduction scale).
+support < k, run by the Spark fixpoint ``peel_edges`` (support recomputed
+from scratch per round — the cascades are shallow at reproduction scale).
 """
 from __future__ import annotations
+
+from collections.abc import Callable
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.graph.components import component_of
-from repro.graph.peel import peel_edges
+from repro.graph.schema import checkpoint
 
 
 def butterfly_support(edges: DataFrame) -> DataFrame:
@@ -42,6 +43,23 @@ def butterfly_count(edges: DataFrame) -> int:
     total = butterfly_support(edges).agg(F.sum("support")).first()[0] or 0
     assert total % 4 == 0
     return int(total) // 4
+
+
+def peel_edges(edges: DataFrame, keep: Callable[[DataFrame], DataFrame]) -> DataFrame:
+    """Apply ``keep`` (a semi-join of its input) until no edge is removed;
+    the result is checkpointed.
+
+    Stops: the edge count strictly drops each round or the loop returns.
+    """
+    cur = checkpoint(edges)
+    n = cur.count()
+    while n:
+        nxt = checkpoint(keep(cur))
+        n2 = nxt.count()
+        if n2 == n:
+            return nxt
+        cur, n = nxt, n2
+    return cur
 
 
 def k_bitruss(edges: DataFrame, k: int) -> DataFrame:

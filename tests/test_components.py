@@ -1,4 +1,4 @@
-"""Distributed BFS component retrieval vs the sequential reference."""
+"""Driver-side BFS component retrieval vs the sequential reference."""
 import pytest
 
 from repro.graph.components import component_of
@@ -33,7 +33,7 @@ def test_two_components(spark):
 
 
 def test_long_path(spark):
-    """A path graph exercises many BFS rounds (worst-case depth)."""
+    """A path graph: the deepest BFS for its edge count."""
     edges = [(i, i, 1.0) for i in range(8)] + [(i + 1, i, 1.0) for i in range(7)]
     df = edges_df(spark, edges)
     assert eset_df(component_of(df, 0, "u")) == eset(edges)

@@ -5,6 +5,7 @@ The paper's guarantee: Q_o, Q_v, Q_bs and Q_opt return the identical
 therefore the complete correctness statement.
 """
 import functools
+import math
 
 import pytest
 
@@ -12,7 +13,10 @@ from repro.core.index_bicore import build_iv
 from repro.core.index_bs import build_ibs_alpha, build_ibs_beta
 from repro.core.index_delta import build_idelta
 from repro.core.query import q_bicore, q_bs, q_online, q_opt
+from repro.core.scs import scs_baseline
+from repro.graph.schema import edges_df
 from repro.reference import ref_graph as R
+from repro.reference import ref_scs as RS
 from tests.util import eset, eset_df, eset_result
 
 
@@ -163,3 +167,71 @@ def test_disconnected_core_returns_only_q_component(spark):
     idx = build_idelta(df)
     assert eset_df(q_opt(idx, 1, "u", 2, 2)) == eset(b1)
     assert eset_df(q_opt(idx, 8, "u", 2, 2)) == eset(b2)
+
+
+def _bad_graph(fig2_edges, bad):
+    """fig2 with (u3, v1) listed twice (``dup``) or weighted NaN (``nan``)."""
+    if bad == "dup":
+        return fig2_edges + [(3, 1, 2.0)]
+    return [(u, v, math.nan if (u, v) == (3, 1) else w) for u, v, w in fig2_edges]
+
+
+@pytest.mark.parametrize("bad,match", [("dup", "duplicate"), ("nan", "finite")])
+@pytest.mark.parametrize("path", ["q_online", "q_opt"])
+def test_bad_edges_raise(spark, fig2_edges, path, bad, match):
+    """A duplicate (u, v) pair would be counted twice in a peel degree, and
+    a NaN weight has no place in a significance order: both fail loudly
+    instead of returning a community."""
+    df = edges_df(spark, _bad_graph(fig2_edges, bad))
+    with pytest.raises(ValueError, match=match):
+        if path == "q_online":
+            q_online(df, 3, "u", 2, 2).collect()
+        else:
+            q_opt(build_idelta(df), 3, "u", 2, 2).collect()
+
+
+def _tailed_biclique(n):
+    """K_{2,2} on u0, u1 × v0, v1 with a path of 2n edges hanging off v1:
+    u_{i+1} joins v_i and v_{i+1}. The (2,2)-core is the biclique, reached
+    by a cascade 2n removals deep; the whole graph is one path-like
+    component of eccentricity ~2n from u0."""
+    edges = [(u, v, float(1 + (u + v) % 3)) for u in (0, 1) for v in (0, 1)]
+    for i in range(1, n + 1):
+        edges += [(i + 1, i, 1.0), (i + 1, i + 1, 1.0)]
+    return edges
+
+
+_DEPTH_PATHS = {
+    # the BFS walks the whole graph: the (1,1)-core is all of it
+    "q_opt": (lambda df, idx: q_opt(idx, 0, "u", 1, 1),
+              lambda es: R.community(es, 0, "u", 1, 1)),
+    # the peel cascades down the whole tail
+    "q_online": (lambda df, idx: q_online(df, 0, "u", 2, 2),
+                 lambda es: R.community(es, 0, "u", 2, 2)),
+    # the BFS walks the whole graph, then the expansion runs on it
+    "scs_baseline": (lambda df, idx: scs_baseline(df, 0, "u", 2, 2),
+                     lambda es: RS.scs_peel(es, 0, "u", 2, 2)),
+}
+
+
+@pytest.mark.parametrize("path", list(_DEPTH_PATHS))
+def test_job_count_independent_of_depth(spark, path):
+    """A retrieval or search submits the same Spark jobs on a shallow and on
+    a deep graph: the BFS and the (α,β)-core peel run on the driver, not by
+    per-level Spark jobs."""
+    run, expect = _DEPTH_PATHS[path]
+    sc = spark.sparkContext
+    jobs = []
+    for n in (1, 12):
+        edges = _tailed_biclique(n)
+        df = edges_df(spark, edges)
+        idx = build_idelta(df) if path == "q_opt" else None
+        group = f"depth-jobs-{path}-{n}"
+        sc.setLocalProperty("spark.jobGroup.id", group)
+        try:
+            got = eset_result(run(df, idx))
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert got == eset(expect(edges))
+        jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
+    assert jobs[0] == jobs[1] > 0

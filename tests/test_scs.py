@@ -182,6 +182,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             search(df, 3, "u", 2, 2)
 
+    @pytest.mark.parametrize("search", SEARCHES)
+    def test_duplicate_pair(self, spark, fig2_edges, search):
+        """A pair listed twice would count one neighbour twice in the peel's
+        degrees."""
+        df = edges_df(spark, fig2_edges + [(3, 1, 2.0)])
+        with pytest.raises(ValueError, match="duplicate"):
+            search(df, 3, "u", 2, 2).collect()
+
 
 @pytest.mark.parametrize("search", [scs_peel, scs_expand])
 def test_job_count_independent_of_distinct_weights(spark, search):
