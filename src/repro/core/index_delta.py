@@ -14,30 +14,38 @@ Those endpoint sets are exactly the slices of the bicore index ``I_v``, so
 non-empty (α,β)-core has min(α,β) <= δ (Lemma 4), these 2δ slices cover
 every (α,β)-community; each slice is O(size(R_ττ)) so the index is O(δ·m)
 (Lemma 5), built from ``I_v``'s 2δ offset peels (Lemma 6's O(δ·m) bound).
-The join runs once, in :func:`build_idelta`, which returns the index
-materialised: saving it or querying it in memory reads those rows.
+:func:`build_idelta` is one ``on_driver`` call: one checked collect, then
+on the driver ``I_v``'s slices (``index_bicore.iv_slices``) joined onto the
+collected edges by ``index_bs.annotate``, returned materialised in the
+shared index layout.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.index_bicore import build_iv, slice_of
-from repro.core.index_bs import _annotate
-from repro.graph.schema import checkpoint
+from repro.core.index_bicore import iv_slices, slice_of
+from repro.core.index_bs import annotate, index_on_driver
+from repro.graph.components import Edge
+from repro.graph.schema import struct
+
+_IDELTA = struct(
+    "side string, tau int, u long, v long, w double, off_u int, off_v int"
+)
 
 
 def build_idelta(edges: DataFrame, *, delta_val: int | None = None) -> DataFrame:
     """Construct ``I_δ`` as a single materialised DataFrame (see module
-    doc for schema)."""
-    iv = build_iv(edges, delta_val=delta_val)
-    # One join per part: annotating both parts in one join wrote up to twice
-    # the Parquet files of a saved index.
-    side_a, side_b = (
-        _annotate(edges, iv.where(F.col("kind") == part), ["kind", "tau"])
-        for part in ("a", "b")
-    )
-    return checkpoint(side_a.unionByName(side_b).withColumnRenamed("kind", "side"))
+    doc for schema), ordered by ``(side, tau, v, u)``."""
+
+    def kernel(rows: list[Edge]) -> list[tuple]:
+        return [
+            (part, *row)
+            for part, offsets, lo in iv_slices(rows, delta_val)
+            for row in annotate(rows, offsets, lo)
+        ]
+
+    return index_on_driver(edges, kernel, _IDELTA)
 
 
 def core_edges(idelta: DataFrame, alpha: int, beta: int) -> DataFrame:

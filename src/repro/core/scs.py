@@ -45,7 +45,7 @@ from pyspark.sql import DataFrame
 from repro.graph.components import (
     Edge, Vertex, component, ends, incidence, on_driver,
 )
-from repro.graph.schema import check_query
+from repro.graph.schema import EDGE_SCHEMA, check_query
 # Unused here; perfbench/layers.py looks up scs.has_vertex by name to trace it.
 from repro.graph.schema import has_vertex  # noqa: F401
 
@@ -184,7 +184,8 @@ def scs_peel(
 ) -> DataFrame:
     """SCS-Peel (paper Alg. 4) given ``C_αβ(q)`` (e.g. from ``q_opt``)."""
     check_query(qside, alpha, beta)
-    return on_driver(community, lambda es: peel_kernel(es, q, qside, alpha, beta))
+    return on_driver(community, lambda es: peel_kernel(es, q, qside, alpha, beta),
+                     EDGE_SCHEMA)
 
 
 def scs_expand(
@@ -192,7 +193,8 @@ def scs_expand(
 ) -> DataFrame:
     """SCS-Expand (paper Alg. 5) given ``C_αβ(q)``."""
     check_query(qside, alpha, beta)
-    return on_driver(community, lambda es: expand_kernel(es, q, qside, alpha, beta))
+    return on_driver(community, lambda es: expand_kernel(es, q, qside, alpha, beta),
+                     EDGE_SCHEMA)
 
 
 def scs_baseline(
@@ -202,4 +204,5 @@ def scs_baseline(
     no index, no step-1 restriction (the paper's baseline)."""
     check_query(qside, alpha, beta)
     return on_driver(edges, lambda es: expand_kernel(
-        component(es, incidence(es), (qside, q)), q, qside, alpha, beta))
+        component(es, incidence(es), (qside, q)), q, qside, alpha, beta),
+        EDGE_SCHEMA)

@@ -41,14 +41,12 @@ def run(
     d = delta(edges, coreness_df=coreness(edges))
     a = b = max(2, round(0.7 * d))
 
-    # Each build ends materialised (build_idelta checkpoints its own join).
+    # Each build returns its index materialised.
     builders = {
-        "I_v": lambda: checkpoint(build_iv(edges, delta_val=d)),
+        "I_v": lambda: build_iv(edges, delta_val=d),
         "I_delta": lambda: build_idelta(edges, delta_val=d),
-        "I_bs_alpha": lambda: checkpoint(
-            build_ibs_alpha(edges, max_alpha=max_bs_slices)),
-        "I_bs_beta": lambda: checkpoint(
-            build_ibs_beta(edges, max_beta=max_bs_slices)),
+        "I_bs_alpha": lambda: build_ibs_alpha(edges, max_alpha=max_bs_slices),
+        "I_bs_beta": lambda: build_ibs_beta(edges, max_beta=max_bs_slices),
     }
     index_rows, built = [], {}
     for name, make in builders.items():

@@ -10,13 +10,8 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro import datasets
-from repro.graph.decomposition import (
-    alpha_max,
-    beta_max,
-    coreness,
-    delta,
-    tau_tau_core,
-)
+from repro.graph.decomposition import alpha_max, beta_max, coreness, delta
+from repro.graph.peel import abcore
 from repro.graph.schema import graph_stats
 
 
@@ -27,7 +22,8 @@ def dataset_row(spark: SparkSession, name: str) -> dict:
     stats = graph_stats(edges)
     cdf = coreness(edges)
     d = delta(edges, coreness_df=cdf)
-    r_dd = tau_tau_core(edges, cdf, d).count() if d > 0 else 0
+    # R_δδ: the (δ,δ)-core, which is the k-core with k = δ
+    r_dd = abcore(edges, d, d).count() if d > 0 else 0
     return {
         "dataset": name,
         "E": stats["m"],

@@ -1,13 +1,16 @@
 """Connected-component retrieval around a query vertex, on the driver.
 
-``on_driver`` collects an edge set once (one Spark job; ``collect_edges``
-rejects bad input), runs a kernel over the rows and returns the kernel's
-edges as a DataFrame. The (α,β)-core (``repro.graph.peel``), retrieval
-(``repro.core.query``) and search (``repro.core.scs``) all reach the driver
-through it. ``component_of`` runs the library's one BFS that way, so a
-retrieval costs one collect plus driver work in proportion to the edges it
-is handed, not one Spark barrier per BFS level. Those edges are a subgraph
-of a graph built in driver memory (``repro.datasets``), so they fit there.
+``on_driver`` collects an edge set once (one Spark job; ``collect_edges``,
+the library's only collect, rejects bad input), runs a kernel over the
+rows and returns the kernel's rows as a DataFrame in a given schema. The
+offset and coreness decompositions (``repro.graph.decomposition``), the
+(α,β)-core (``repro.graph.peel``), every index build
+(``repro.core.index_*``), retrieval (``repro.core.query``) and search
+(``repro.core.scs``) all reach the driver through it. ``component_of``
+runs the library's one BFS that way, so a retrieval costs one collect
+plus driver work in proportion to the edges it is handed, not one Spark
+barrier per BFS level. Those edges are a subgraph of a graph built in
+driver memory (``repro.datasets``), so they fit there.
 """
 from __future__ import annotations
 
@@ -16,8 +19,9 @@ from collections import defaultdict
 
 import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql import types as T
 
-from repro.graph.schema import EDGE_COLS, EDGE_SCHEMA
+from repro.graph.schema import EDGE_SCHEMA
 
 Edge = tuple[int, int, float]
 Vertex = tuple[str, int]  # (side, id)
@@ -70,17 +74,17 @@ def component(
     return [edges[i] for i in sorted(out)]
 
 
-def on_driver(df: DataFrame, kernel) -> DataFrame:
-    """``kernel`` run over the collected edge set ``df``; its edge list
-    comes back as an edge DataFrame with columns ``(u, v, w)``.
+def on_driver(df: DataFrame, kernel, schema: T.StructType) -> DataFrame:
+    """``kernel`` run over the collected edge set ``df``; the rows it
+    returns come back as a DataFrame with ``schema``.
 
     The rows go through pandas and Arrow, which makes a local relation:
     reading it back runs no Spark job. From a Python list, every read ran a
     Python worker: creating and reading 1,675 edges took 0.32 s against
     0.04 s (4 vCPUs, ``local[2]``).
     """
-    out = pd.DataFrame(kernel(collect_edges(df)), columns=list(EDGE_COLS))
-    return df.sparkSession.createDataFrame(out, EDGE_SCHEMA)
+    out = pd.DataFrame(kernel(collect_edges(df)), columns=schema.names)
+    return df.sparkSession.createDataFrame(out, schema)
 
 
 def component_of(edges: DataFrame, q: int, qside: str = "u") -> DataFrame:
@@ -89,4 +93,6 @@ def component_of(edges: DataFrame, q: int, qside: str = "u") -> DataFrame:
 
     Returns an empty edge DataFrame when ``q`` is not incident to any edge.
     """
-    return on_driver(edges, lambda es: component(es, incidence(es), (qside, q)))
+    return on_driver(
+        edges, lambda es: component(es, incidence(es), (qside, q)), EDGE_SCHEMA
+    )

@@ -10,32 +10,33 @@ Every edge is removed once, so a slice costs O(m) and the 2δ slices of
 maximum is the degeneracy δ) come from the same peel with both bounds
 raised together — Batagelj–Zaversnik's O(m) k-core algorithm.
 
-Each entry point collects the edge list's ``(u, v)`` pairs once (one Spark
-job), runs the pure-Python peel (:func:`offset_peel`, :func:`core_peel`)
-on the driver and returns the result through ``createDataFrame`` with
-non-null columns. The driver therefore holds the edge list and every
+The peels (:func:`offset_peel`, :func:`core_peel`) are pure Python over
+edge rows. Each Spark entry point is one ``components.on_driver`` call:
+the library's one checked collect of the edge list (one Spark job; a
+duplicate ``(u, v)`` pair or a non-finite weight raises ``ValueError``),
+the peel on the driver, and its rows back as non-null columns. The index
+builds (``repro.core.index_*``) run these peels inside their own
+``on_driver`` call. The driver therefore holds the edge list and every
 requested slice's offsets, which is fine at this repo's ≤ 25,000 edges
 (``repro.datasets`` builds every graph in driver memory anyway).
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.graph.schema import degrees
+from repro.graph.components import Vertex, on_driver
+from repro.graph.schema import degrees, struct
 
-_Vertex = tuple[str, int]  # (side, id)
 
-
-def _graph(pairs: list[tuple[int, int]]) -> tuple[list[_Vertex], list[list[int]]]:
-    """The edge list as dense adjacency lists: vertex ``x`` is ``keys[x]``
-    and ``adj[x]`` lists its neighbours, one entry per edge."""
-    index: dict[_Vertex, int] = {}
+def _graph(edges: Iterable[tuple]) -> tuple[list[Vertex], list[list[int]]]:
+    """The ``(u, v, ...)`` edge rows as dense adjacency lists: vertex ``x``
+    is ``keys[x]`` and ``adj[x]`` lists its neighbours, one entry per edge."""
+    index: dict[Vertex, int] = {}
     adj: list[list[int]] = []
-    for u, v in pairs:
+    for u, v, *_ in edges:
         ends = []
         for key in (("u", u), ("v", v)):
             x = index.setdefault(key, len(adj))
@@ -90,54 +91,34 @@ def _peel(adj: list[list[int]], held: list[int]) -> list[int]:
 
 
 def offset_peel(
-    pairs: list[tuple[int, int]], taus: Iterable[int], held: str
-) -> list[tuple[int, str, int, int]]:
-    """Rows ``(τ, side, id, off)`` for every vertex of the ``(u, v)`` edge
-    list and every τ in ``taus`` (each at least 1), zero offsets included.
+    edges: Iterable[tuple], taus: Iterable[int], held: str
+) -> Iterator[tuple[int, str, int, int]]:
+    """Rows ``(τ, side, id, off)`` for every vertex of the ``(u, v, ...)``
+    edge rows and every τ in ``taus`` (each at least 1), zero offsets
+    included, one τ after another in the order of ``taus``.
 
     ``held="u"`` holds the upper layer's bound at α=τ and raises β, which
     gives ``s_a(·, τ)``; ``held="v"`` holds β=τ and raises α, which gives
-    ``s_b(·, τ)``.
+    ``s_b(·, τ)``. The rows are yielded slice by slice, so a caller that
+    keeps only some of them never holds every slice's offsets at once.
     """
-    keys, adj = _graph(pairs)
-    rows = []
+    keys, adj = _graph(edges)
     for tau in taus:
         last = _peel(adj, [tau if side == held else 0 for side, _ in keys])
-        rows += [(tau, side, i, off) for (side, i), off in zip(keys, last)]
-    return rows
+        yield from ((tau, side, i, off) for (side, i), off in zip(keys, last))
 
 
-def core_peel(pairs: list[tuple[int, int]]) -> list[tuple[str, int, int]]:
+def core_peel(edges: Iterable[tuple]) -> list[tuple[str, int, int]]:
     """Rows ``(side, id, core)``: the k-core number of every vertex of the
-    ``(u, v)`` edge list viewed as unipartite."""
-    keys, adj = _graph(pairs)
+    ``(u, v, ...)`` edge rows viewed as unipartite."""
+    keys, adj = _graph(edges)
     last = _peel(adj, [0] * len(keys))
     return [(side, i, core) for (side, i), core in zip(keys, last)]
 
 
-def _pairs(edges: DataFrame) -> list[tuple[int, int]]:
-    """The edge list's ``(u, v)`` pairs on the driver (one Spark job)."""
-    return [(int(u), int(v)) for u, v in edges.select("u", "v").collect()]
-
-
-def _frame(edges: DataFrame, rows: list[tuple], schema: str) -> DataFrame:
-    """``rows`` in the DDL ``schema``, through pandas and Arrow."""
-    names = [field.split()[0] for field in schema.split(",")]
-    return edges.sparkSession.createDataFrame(
-        pd.DataFrame(rows, columns=names), schema
-    )
-
-
-def _offsets(
-    edges: DataFrame, taus: Iterable[int], held: str, col: str
-) -> DataFrame:
-    tlist = sorted({int(t) for t in taus})
-    rows = offset_peel(_pairs(edges), tlist, held) if tlist else []
-    return _frame(
-        edges, rows,
-        f"{col} int not null, side string not null, id long not null, "
-        "off int not null",
-    )
+_ALPHA_OFFSETS = struct("alpha int, side string, id long, off int")
+_BETA_OFFSETS = struct("beta int, side string, id long, off int")
+_CORENESS = struct("side string, id long, core int")
 
 
 def alpha_offsets(edges: DataFrame, alphas: Iterable[int]) -> DataFrame:
@@ -146,13 +127,15 @@ def alpha_offsets(edges: DataFrame, alphas: Iterable[int]) -> DataFrame:
     Returns ``(alpha: int, side: 'u'|'v', id: long, off: int)`` including
     zero offsets (callers filter ``off >= 1`` for (α,1)-core membership).
     """
-    return _offsets(edges, alphas, "u", "alpha")
+    taus = sorted({int(a) for a in alphas})
+    return on_driver(edges, lambda rows: offset_peel(rows, taus, "u"), _ALPHA_OFFSETS)
 
 
 def beta_offsets(edges: DataFrame, betas: Iterable[int]) -> DataFrame:
     """``s_b(x, β)`` for every vertex and every β in ``betas`` — symmetric to
     :func:`alpha_offsets`, returned as ``(beta, side, id, off)``."""
-    return _offsets(edges, betas, "v", "beta")
+    taus = sorted({int(b) for b in betas})
+    return on_driver(edges, lambda rows: offset_peel(rows, taus, "v"), _BETA_OFFSETS)
 
 
 def coreness(edges: DataFrame) -> DataFrame:
@@ -162,10 +145,7 @@ def coreness(edges: DataFrame) -> DataFrame:
     the paper's degeneracy δ (= max coreness) and every (τ,τ)-core
     (vertices with coreness ≥ τ). Returns ``(side, id, core: int)``.
     """
-    return _frame(
-        edges, core_peel(_pairs(edges)),
-        "side string not null, id long not null, core int not null",
-    )
+    return on_driver(edges, core_peel, _CORENESS)
 
 
 def delta(edges: DataFrame, *, coreness_df: DataFrame | None = None) -> int:
@@ -188,15 +168,3 @@ def beta_max(edges: DataFrame) -> int:
     _, dv = degrees(edges)
     row = dv.agg(F.max("deg")).first()
     return int(row[0]) if row[0] is not None else 0
-
-
-def tau_tau_core(edges: DataFrame, coreness_df: DataFrame, tau: int) -> DataFrame:
-    """Edge set of the (τ,τ)-core ``R_ττ``: edges whose endpoints both have
-    coreness ≥ τ (the k-core is vertex-induced)."""
-    keep_u = coreness_df.where(
-        (F.col("side") == "u") & (F.col("core") >= tau)
-    ).select(F.col("id").alias("u"))
-    keep_v = coreness_df.where(
-        (F.col("side") == "v") & (F.col("core") >= tau)
-    ).select(F.col("id").alias("v"))
-    return edges.join(keep_u, "u", "semi").join(keep_v, "v", "semi")

@@ -14,7 +14,7 @@ from pyspark.sql import DataFrame
 
 from repro.graph.components import Edge, ends, on_driver
 from repro.graph.decomposition import offset_peel
-from repro.graph.schema import check_query
+from repro.graph.schema import EDGE_SCHEMA, check_query
 
 
 def abcore(edges: DataFrame, alpha: int, beta: int) -> DataFrame:
@@ -27,8 +27,7 @@ def abcore(edges: DataFrame, alpha: int, beta: int) -> DataFrame:
     check_query("u", alpha, beta)
 
     def core(rows: list[Edge]) -> list[Edge]:
-        pairs = [(u, v) for u, v, _ in rows]
-        off = {(side, i): s for _, side, i, s in offset_peel(pairs, [alpha], "u")}
+        off = {(side, i): s for _, side, i, s in offset_peel(rows, [alpha], "u")}
         return [e for e in rows if min(off[x] for x in ends(e)) >= beta]
 
-    return on_driver(edges, core)
+    return on_driver(edges, core, EDGE_SCHEMA)

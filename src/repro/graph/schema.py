@@ -13,13 +13,23 @@ from pyspark.sql import types as T
 
 EDGE_COLS = ("u", "v", "w")
 
-EDGE_SCHEMA = T.StructType(
-    [
-        T.StructField("u", T.LongType(), False),
-        T.StructField("v", T.LongType(), False),
-        T.StructField("w", T.DoubleType(), False),
-    ]
-)
+_TYPES = {
+    "long": T.LongType(), "int": T.IntegerType(),
+    "double": T.DoubleType(), "string": T.StringType(),
+}
+
+
+def struct(ddl: str) -> T.StructType:
+    """The schema ``"name type, ..."`` (types ``long``, ``int``, ``double``,
+    ``string``) with every column not null. Unlike Spark's DDL parser it
+    needs no running JVM, so modules can hold their schemas as constants."""
+    return T.StructType([
+        T.StructField(name, _TYPES[kind], False)
+        for name, kind in (field.split() for field in ddl.split(","))
+    ])
+
+
+EDGE_SCHEMA = struct("u long, v long, w double")
 
 
 def edges_df(spark: SparkSession, edges: list[tuple[int, int, float]]) -> DataFrame:

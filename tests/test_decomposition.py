@@ -1,4 +1,5 @@
-"""Distributed offset/coreness fixpoints vs the sequential reference.
+"""Offset and coreness decompositions (one checked collect, then the
+driver-side peels) vs the sequential reference.
 
 These are the load-bearing correctness tests of the repo: every index and
 query algorithm is built on these decompositions.
@@ -7,8 +8,9 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.graph import decomposition as D
+from repro.graph.peel import abcore
 from repro.reference import ref_graph as R
-from tests.util import eset, eset_df
+from tests.util import eset, eset_result
 
 
 def _offsets_dict(df, slice_col="alpha"):
@@ -100,14 +102,24 @@ class TestMaxima:
 
 
 class TestTauTauCore:
+    """The (τ,τ)-core (Table I's R_δδ at τ = δ) is the k-core with k = τ:
+    ``abcore(τ, τ)`` keeps exactly the edges whose endpoints both have
+    coreness ≥ τ."""
+
+    @staticmethod
+    def _by_coreness(df, edges, tau):
+        core = {(r.side, r.id): r.core for r in D.coreness(df).collect()}
+        return {(u, v) for u, v, _ in edges
+                if min(core[("u", u)], core[("v", v)]) >= tau}
+
     @pytest.mark.parametrize("seed", [1, 2])
     @pytest.mark.parametrize("tau", [1, 2, 3])
     def test_matches_reference(self, rand_edges, rand_dfs, seed, tau):
-        cdf = D.coreness(rand_dfs[seed])
-        got = eset_df(D.tau_tau_core(rand_dfs[seed], cdf, tau))
+        got = eset_result(abcore(rand_dfs[seed], tau, tau))
         assert got == eset(R.abcore(rand_edges[seed], tau, tau))
+        assert got == self._by_coreness(rand_dfs[seed], rand_edges[seed], tau)
 
-    def test_fig2_delta_core(self, fig2_df):
-        cdf = D.coreness(fig2_df)
-        got = eset_df(D.tau_tau_core(fig2_df, cdf, 3))
+    def test_fig2_delta_core(self, fig2_df, fig2_edges):
+        got = eset_result(abcore(fig2_df, 3, 3))
         assert got == {(u, v) for u in (1, 2, 3) for v in (1, 2, 3)}
+        assert got == self._by_coreness(fig2_df, fig2_edges, 3)

@@ -48,7 +48,7 @@ def test_peels_match_oracle(pairs):
     du, dv = R.degrees(edges)
     taus = range(1, max([*du.values(), *dv.values()], default=0) + 3)
     for held, ref in (("u", R.alpha_offsets), ("v", R.beta_offsets)):
-        rows = offset_peel(pairs, taus, held)
+        rows = list(offset_peel(pairs, taus, held))
         got = {(t, s, i): off for t, s, i, off in rows}
         assert len(got) == len(rows)  # one row per (τ, vertex)
         want = {}

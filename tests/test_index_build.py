@@ -1,15 +1,18 @@
 """Contracts of the decompositions and index builds that hold whatever the
-graph: their output schema on a graph without edges, and a Spark job count
-that does not grow with δ."""
+graph: their output schema on a graph without edges, loud failure on bad
+input, a Spark job count that does not grow with δ, and the layout of a
+saved index."""
+import os
+
 import pytest
 
 from repro.core.index_bicore import build_iv
-from repro.core.index_bs import build_ibs_alpha, build_ibs_beta
+from repro.core.index_bs import build_ibs_alpha, build_ibs_beta, save_index
 from repro.core.index_delta import build_idelta
-from repro.graph.decomposition import alpha_offsets, coreness
-from repro.graph.schema import EDGE_SCHEMA, edges_df
+from repro.graph.decomposition import alpha_offsets, beta_offsets, coreness
+from repro.graph.schema import EDGE_SCHEMA, checkpoint, edges_df
 from repro.reference import ref_graph as R
-from tests.util import rand_bipartite
+from tests.util import bad_fig2, rand_bipartite
 
 _EDGE = [("u", "bigint"), ("v", "bigint"), ("w", "double")]
 _OFFS = [("off_u", "int"), ("off_v", "int")]
@@ -32,21 +35,92 @@ def test_empty_graph_gives_no_rows_with_schema(spark, build, dtypes):
     assert out.count() == 0
 
 
-@pytest.mark.parametrize("build", [coreness, build_iv, build_idelta])
-def test_job_count_independent_of_delta(spark, fig2_df, fig2_edges, build):
+_BUILDS = {
+    "coreness": coreness,
+    "alpha_offsets": lambda e: alpha_offsets(e, [1, 2]),
+    "beta_offsets": lambda e: beta_offsets(e, [1, 2]),
+    "build_iv": build_iv,
+    "build_idelta": build_idelta,
+    "build_ibs_alpha": build_ibs_alpha,
+    "build_ibs_beta": build_ibs_beta,
+}
+
+
+@pytest.mark.parametrize("bad,match", [("dup", "duplicate"), ("nan", "finite")])
+@pytest.mark.parametrize("build", list(_BUILDS))
+def test_bad_edges_raise(spark, fig2_edges, build, bad, match):
+    """A duplicate (u, v) pair would be counted twice in a peel degree and
+    listed twice in an index, and a NaN weight would be stored in one: both
+    fail loudly instead of returning a wrong decomposition or index."""
+    df = edges_df(spark, bad_fig2(fig2_edges, bad))
+    with pytest.raises(ValueError, match=match):
+        _BUILDS[build](df)
+
+
+# (build(edges DataFrame, edge list), the most Spark jobs it may submit):
+# a decomposition is its collect; an index build is its collect and the
+# checkpoint of its materialised result.
+_JOBS = {
+    "coreness": (lambda df, es: coreness(df), 1),
+    "alpha_offsets": (
+        lambda df, es: alpha_offsets(df, range(1, R.delta(es) + 1)), 1),
+    "build_iv": (lambda df, es: build_iv(df), 2),
+    "build_idelta": (lambda df, es: build_idelta(df), 2),
+    "build_iv-delta_val": (
+        lambda df, es: build_iv(df, delta_val=R.delta(es)), 2),
+    "build_idelta-delta_val": (
+        lambda df, es: build_idelta(df, delta_val=R.delta(es)), 2),
+    "build_ibs_alpha": (lambda df, es: build_ibs_alpha(df), 2),
+    "build_ibs_beta": (lambda df, es: build_ibs_beta(df), 2),
+}
+
+
+@pytest.mark.parametrize("build", list(_JOBS))
+def test_job_count_independent_of_delta(spark, fig2_edges, build):
     """A build submits the same Spark jobs on fig2 (δ = 3) and on a denser
-    drawn graph: every slice is peeled on the driver, not by per-sweep
-    Spark jobs."""
+    drawn graph, with or without δ given: every slice is peeled and joined
+    onto the edges on the driver, not by per-sweep or per-slice Spark
+    jobs."""
+    run, most = _JOBS[build]
     sc = spark.sparkContext
     dense = rand_bipartite(11, n_u=12, n_l=12, m=300)
     assert R.delta(dense) > R.delta(fig2_edges) == 3
     jobs = []
-    for name, df in (("fig2", fig2_df), ("dense", edges_df(spark, dense))):
-        group = f"build-jobs-{build.__name__}-{name}"
+    for name, es in (("fig2", fig2_edges), ("dense", dense)):
+        # a materialised input, as the jobs and the benchmark load it: the
+        # collect of a repartitioned one is two jobs under adaptive execution
+        df = checkpoint(edges_df(spark, es))
+        group = f"build-jobs-{build}-{name}"
         sc.setLocalProperty("spark.jobGroup.id", group)
         try:
-            build(df).count()
+            run(df, es)
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
         jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
-    assert jobs[0] == jobs[1] > 0
+    assert 0 < jobs[0] == jobs[1] <= most
+
+
+@pytest.mark.parametrize("graph", ["fig2", "drawn"])
+@pytest.mark.parametrize("build,cols", [
+    (build_idelta, ["side", "tau"]),
+    (build_ibs_alpha, ["alpha"]),
+], ids=["build_idelta", "build_ibs_alpha"])
+def test_saved_index_has_one_file_per_slice(
+    spark, fig2_edges, tmp_path, build, cols, graph
+):
+    """A build returns its index in one partition, so a save writes one
+    Parquet file into each non-empty slice's directory and none elsewhere."""
+    es = fig2_edges if graph == "fig2" else rand_bipartite(5, m=120)
+    idx = build(edges_df(spark, es))
+    slices = {tuple(r) for r in idx.select(*cols).distinct().collect()}
+    save_index(idx, str(tmp_path), cols)
+    files = {
+        os.path.relpath(root, tmp_path): [f for f in fs if f.endswith(".parquet")]
+        for root, _, fs in os.walk(tmp_path)
+    }
+    written = {d: fs for d, fs in files.items() if fs}
+    assert len(slices) > 1
+    assert set(written) == {
+        os.path.join(*(f"{c}={x}" for c, x in zip(cols, s))) for s in slices
+    }
+    assert all(len(fs) == 1 for fs in written.values())

@@ -5,7 +5,6 @@ The paper's guarantee: Q_o, Q_v, Q_bs and Q_opt return the identical
 therefore the complete correctness statement.
 """
 import functools
-import math
 
 import pytest
 
@@ -17,7 +16,7 @@ from repro.core.scs import scs_baseline
 from repro.graph.schema import edges_df
 from repro.reference import ref_graph as R
 from repro.reference import ref_scs as RS
-from tests.util import eset, eset_df, eset_result
+from tests.util import bad_fig2, eset, eset_df, eset_result
 
 
 _BUILDERS = {
@@ -169,20 +168,13 @@ def test_disconnected_core_returns_only_q_component(spark):
     assert eset_df(q_opt(idx, 8, "u", 2, 2)) == eset(b2)
 
 
-def _bad_graph(fig2_edges, bad):
-    """fig2 with (u3, v1) listed twice (``dup``) or weighted NaN (``nan``)."""
-    if bad == "dup":
-        return fig2_edges + [(3, 1, 2.0)]
-    return [(u, v, math.nan if (u, v) == (3, 1) else w) for u, v, w in fig2_edges]
-
-
 @pytest.mark.parametrize("bad,match", [("dup", "duplicate"), ("nan", "finite")])
 @pytest.mark.parametrize("path", ["q_online", "q_opt"])
 def test_bad_edges_raise(spark, fig2_edges, path, bad, match):
     """A duplicate (u, v) pair would be counted twice in a peel degree, and
     a NaN weight has no place in a significance order: both fail loudly
     instead of returning a community."""
-    df = edges_df(spark, _bad_graph(fig2_edges, bad))
+    df = edges_df(spark, bad_fig2(fig2_edges, bad))
     with pytest.raises(ValueError, match=match):
         if path == "q_online":
             q_online(df, 3, "u", 2, 2).collect()

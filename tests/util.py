@@ -2,6 +2,8 @@
 and edge-set comparison utilities used across the suite."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.reference import ref_graph as R
@@ -37,6 +39,13 @@ def paper_figure2_like() -> list[tuple[int, int, float]]:
             edges.append((u, v, w))
     edges += [(4, 1, 5.0), (4, 2, 5.0), (1, 4, 1.0), (2, 4, 1.0)]
     return edges
+
+
+def bad_fig2(fig2_edges, bad):
+    """fig2 with (u3, v1) listed twice (``dup``) or weighted NaN (``nan``)."""
+    if bad == "dup":
+        return fig2_edges + [(3, 1, 2.0)]
+    return [(u, v, math.nan if (u, v) == (3, 1) else w) for u, v, w in fig2_edges]
 
 
 def ref_slices(edges):
