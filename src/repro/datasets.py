@@ -10,9 +10,10 @@ dominates, relative δ, |R_δδ| ≪ |E|) against the paper's numbers.
 
 Weight kinds per dataset: rating-valued graphs (book/movie/product reviews)
 get half-star ratings; DT and PA were unweighted in the paper and received
-random-walk-with-restart weights there, so they do here too ("rw", computed
-in Spark by ``repro.weights.rwr``); the remainder get quantized uniform
-interaction weights.
+random-walk-with-restart weights there, so they do here too ("rw", from
+``repro.weights.rwr``); the remainder get quantized uniform interaction
+weights. Every weighting runs on the pandas edge list, before the one
+``createDataFrame``.
 """
 from __future__ import annotations
 
@@ -88,8 +89,7 @@ def structure_pdf(cfg: DatasetConfig) -> pd.DataFrame:
 
 
 def load(spark: SparkSession, name: str) -> DataFrame:
-    """Materialise a dataset as a canonical weighted edge DataFrame
-    (8 partitions)."""
+    """Materialise a dataset as a canonical weighted edge DataFrame."""
     cfg = BY_NAME[name]
     pdf = structure_pdf(cfg)
     if cfg.weights == "ratings":
@@ -97,13 +97,10 @@ def load(spark: SparkSession, name: str) -> DataFrame:
     elif cfg.weights == "uniform":
         pdf = wd.uniform(pdf, seed=cfg.seed + 1, levels=100)
     elif cfg.weights == "rw":
-        pdf = wd.all_equal(pdf)  # placeholder; replaced below in Spark
+        pdf = rwr_weights(pdf)
     else:
         raise ValueError(f"unknown weight kind {cfg.weights!r}")
-    df = normalize(spark.createDataFrame(pdf)).repartition(8)
-    if cfg.weights == "rw":
-        df = rwr_weights(df)
-    return df
+    return normalize(spark.createDataFrame(pdf))
 
 
 def ml_comedy_like(spark: SparkSession) -> DataFrame:
@@ -126,4 +123,4 @@ def ml_comedy_like(spark: SparkSession) -> DataFrame:
         (pdf["u"].to_numpy() < plant_u) & (pdf["v"].to_numpy() < plant_l)
     )
     pdf = wd.ratings(pdf, seed=seed + 1, high_mask=in_block, high_min=4.5)
-    return normalize(spark.createDataFrame(pdf[["u", "v", "w"]])).repartition(8)
+    return normalize(spark.createDataFrame(pdf[["u", "v", "w"]]))

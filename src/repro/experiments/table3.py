@@ -19,7 +19,6 @@ import time
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro import datasets
 from repro.core.index_delta import build_idelta, core_edges
@@ -47,8 +46,9 @@ def weighted_variants(
 ) -> dict[str, DataFrame]:
     """The dataset's structure under each Table III weight distribution.
 
-    Weights are quantized to ``levels`` distinct values, so every
-    non-equal distribution has ties (one batch each in Alg. 4 and 5).
+    Each distribution weights the pandas edge list, and ``wd.quantize``
+    snaps RW, UF and SK to ``levels`` distinct values, so every non-equal
+    distribution has ties (one batch each in Alg. 4 and 5).
     """
     cfg = datasets.BY_NAME[dataset]
     pdf = datasets.structure_pdf(cfg)
@@ -56,26 +56,14 @@ def weighted_variants(
     for dist in DISTRIBUTIONS:
         if dist == "AE":
             wpdf = wd.all_equal(pdf)
+        elif dist == "RW":
+            wpdf = rwr_weights(pdf)
+            wpdf["w"] = wd.quantize(wpdf["w"].to_numpy(), levels)
         elif dist == "UF":
             wpdf = wd.uniform(pdf, seed=cfg.seed + 11, levels=levels)
-        elif dist == "SK":
+        else:  # SK
             wpdf = wd.skew_normal(pdf, seed=cfg.seed + 12, levels=levels)
-        else:  # RW — computed in Spark below
-            wpdf = wd.all_equal(pdf)
-        df = normalize(spark.createDataFrame(wpdf)).repartition(8)
-        if dist == "RW":
-            df = df.drop("w").join(
-                rwr_weights(df).select("u", "v", "w"), ["u", "v"]
-            )
-            # quantize in-Spark to ``levels`` values, like UF and SK
-            lo, hi = df.agg(F.min("w"), F.max("w")).first()
-            span = (hi - lo) or 1.0
-            df = df.withColumn(
-                "w",
-                F.round((F.col("w") - F.lit(lo)) / F.lit(span) * (levels - 1))
-                * F.lit(span / (levels - 1)) + F.lit(lo),
-            )
-        out[dist] = checkpoint(df)
+        out[dist] = checkpoint(normalize(spark.createDataFrame(wpdf)))
     return out
 
 

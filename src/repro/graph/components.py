@@ -5,8 +5,9 @@ the library's only collect, rejects bad input), runs a kernel over the
 rows and returns the kernel's rows as a DataFrame in a given schema. The
 offset and coreness decompositions (``repro.graph.decomposition``), the
 (α,β)-core (``repro.graph.peel``), every index build
-(``repro.core.index_*``), retrieval (``repro.core.query``) and search
-(``repro.core.scs``) all reach the driver through it. ``component_of``
+(``repro.core.index_*``), retrieval (``repro.core.query``), search
+(``repro.core.scs``) and the k-bitruss (``repro.models.bitruss``) all
+reach the driver through it. ``component_of``
 runs the library's one BFS that way, so a retrieval costs one collect
 plus driver work in proportion to the edges it is handed, not one Spark
 barrier per BFS level. Those edges are a subgraph of a graph built in

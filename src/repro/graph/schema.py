@@ -33,10 +33,10 @@ EDGE_SCHEMA = struct("u long, v long, w double")
 
 
 def edges_df(spark: SparkSession, edges: list[tuple[int, int, float]]) -> DataFrame:
-    """Build a canonical edge DataFrame (4 partitions) from in-memory
-    ``(u, v, w)`` tuples."""
+    """Build a canonical edge DataFrame from in-memory ``(u, v, w)``
+    tuples."""
     rows = [(int(u), int(v), float(w)) for u, v, w in edges]
-    return spark.createDataFrame(rows, EDGE_SCHEMA).repartition(4)
+    return spark.createDataFrame(rows, EDGE_SCHEMA)
 
 
 def check_query(qside: str, alpha: int, beta: int) -> None:
@@ -66,21 +66,6 @@ def degrees(edges: DataFrame) -> tuple[DataFrame, DataFrame]:
     return du, dv
 
 
-def adjacency(edges: DataFrame) -> DataFrame:
-    """Undirected adjacency in the shared ``(side, id)`` namespace: one row
-    ``(xs, xi, ys, yi)`` per edge direction, so each vertex ``(xs, xi)``
-    lists every neighbour ``(ys, yi)``."""
-    return edges.select(
-        F.lit("u").alias("xs"), F.col("u").alias("xi"),
-        F.lit("v").alias("ys"), F.col("v").alias("yi"),
-    ).unionByName(
-        edges.select(
-            F.lit("v").alias("xs"), F.col("v").alias("xi"),
-            F.lit("u").alias("ys"), F.col("u").alias("yi"),
-        )
-    )
-
-
 def graph_stats(edges: DataFrame) -> dict[str, int]:
     """``{m, n_u, n_l}`` of the edge list in one aggregation."""
     row = edges.agg(
@@ -101,8 +86,7 @@ def checkpoint(df: DataFrame) -> DataFrame:
     """Eagerly materialise a DataFrame and truncate its lineage.
 
     Callers use it to pin a result that later steps read more than once
-    (a loaded graph, an index, each round of the RWR iteration and of the
-    k-bitruss peel): without it, each read recomputes the plan, and an
-    iteration's plan grows with its round count.
+    (a loaded graph, an index): without it, each read recomputes the
+    plan.
     """
     return df.localCheckpoint(eager=True)

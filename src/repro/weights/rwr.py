@@ -9,82 +9,59 @@ edge derived from its endpoints' stationary relevances. What Table III's RW
 row exercises — weights *correlated with graph structure*, as opposed to the
 independent UF/SK draws — is preserved.
 
-Implemented as an iterative DataFrame computation: one join + aggregation
-per power-iteration step.
+Like the other distributions (``repro.weights.distributions``), it takes a
+pandas edge list and returns a copy with a ``w`` column, so the weights
+exist before the graph becomes a DataFrame. Each power-iteration step is
+two ``bincount`` calls over the edge arrays.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
-from repro.graph.schema import adjacency, checkpoint, degrees
+import numpy as np
+import pandas as pd
 
 DAMPING = 0.85
 ITERS = 12  # power-iteration steps
 
 
-def rwr_scores(edges: DataFrame) -> DataFrame:
-    """Stationary relevance score per vertex: ``(side, id, score)``."""
-    du, dv = degrees(edges)
-    verts = du.select(
-        F.lit("u").alias("side"), F.col("u").alias("id"),
-        F.col("deg").alias("deg"),
-    ).unionByName(
-        dv.select(
-            F.lit("v").alias("side"), F.col("v").alias("id"),
-            F.col("deg").alias("deg"),
-        )
-    )
-    verts = checkpoint(verts)
-    n = verts.count()
-    restart = (1.0 - DAMPING) / n
-    scores = verts.select("side", "id", "deg", F.lit(1.0 / n).alias("score"))
-
-    adj = checkpoint(adjacency(edges))
+def _walk(pdf: pd.DataFrame):
+    """``(us, vs, iu, iv, score)``: the sorted u and v ids, each edge's
+    ends as indices into the vertex order ``us`` then ``vs``, and each
+    vertex's score in that order."""
+    us, iu = np.unique(pdf["u"].to_numpy(), return_inverse=True)
+    vs, iv = np.unique(pdf["v"].to_numpy(), return_inverse=True)
+    n = len(us) + len(vs)
+    iv = iv + len(us)
+    deg = np.bincount(iu, minlength=n) + np.bincount(iv, minlength=n)
+    score = np.full(n, 1.0 / n)
     for _ in range(ITERS):
-        outflow = adj.join(
-            scores.select(
-                F.col("side").alias("xs"), F.col("id").alias("xi"),
-                (F.col("score") / F.col("deg")).alias("contrib"),
-            ),
-            ["xs", "xi"],
-        )
-        inflow = outflow.groupBy(
-            F.col("ys").alias("side"), F.col("yi").alias("id")
-        ).agg(F.sum("contrib").alias("inflow"))
-        scores = checkpoint(
-            verts.join(inflow, ["side", "id"], "left").select(
-                "side", "id", "deg",
-                (
-                    F.lit(restart)
-                    + F.lit(DAMPING) * F.coalesce(F.col("inflow"), F.lit(0.0))
-                ).alias("score"),
-            )
-        )
-    return scores.select("side", "id", "score")
+        contrib = score / deg
+        inflow = (np.bincount(iv, contrib[iu], minlength=n)
+                  + np.bincount(iu, contrib[iv], minlength=n))
+        score = (1.0 - DAMPING) / n + DAMPING * inflow
+    return us, vs, iu, iv, score
 
 
-def rwr_weights(edges: DataFrame) -> DataFrame:
-    """Replace ``w`` with structure-derived weights in (0, 1].
+def rwr_scores(pdf: pd.DataFrame) -> pd.DataFrame:
+    """Stationary relevance score per vertex: ``(side, id, score)``."""
+    us, vs, _, _, score = _walk(pdf)
+    return pd.DataFrame({
+        "side": np.repeat(["u", "v"], [len(us), len(vs)]),
+        "id": np.concatenate([us, vs]),
+        "score": score,
+    })
+
+
+def rwr_weights(pdf: pd.DataFrame) -> pd.DataFrame:
+    """A copy of ``pdf`` with ``w`` replaced by structure-derived weights in
+    (0, 1].
 
     ``w(u, v)`` is the min-max-normalized sum of the endpoints' relevance
-    scores, so edges between globally central vertices get large weights.
+    scores, so edges between globally central vertices get large weights;
+    every weight is 1.0 when all the sums are equal.
     """
-    s = rwr_scores(edges)
-    su = s.where(F.col("side") == "u").select(
-        F.col("id").alias("u"), F.col("score").alias("su")
-    )
-    sv = s.where(F.col("side") == "v").select(
-        F.col("id").alias("v"), F.col("score").alias("sv")
-    )
-    joined = edges.join(su, "u").join(sv, "v").withColumn(
-        "raw", F.col("su") + F.col("sv")
-    )
-    lo, hi = joined.agg(F.min("raw"), F.max("raw")).first()
-    if hi == lo:
-        return joined.select("u", "v", F.lit(1.0).alias("w"))
-    return joined.select(
-        "u",
-        "v",
-        ((F.col("raw") - F.lit(lo)) / F.lit(hi - lo) * 0.999 + 0.001).alias("w"),
-    )
+    _, _, iu, iv, score = _walk(pdf)
+    raw = score[iu] + score[iv]
+    lo, hi = raw.min(), raw.max()
+    out = pdf.copy()
+    out["w"] = 1.0 if hi == lo else (raw - lo) / (hi - lo) * 0.999 + 0.001
+    return out

@@ -3,6 +3,8 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro import datasets
+from repro.graph.schema import checkpoint
+from tests.util import spark_jobs
 
 
 def test_eleven_datasets_like_the_paper():
@@ -48,7 +50,16 @@ def test_ratings_dataset_half_stars(spark):
 
 def test_rw_dataset_structure_weights(spark):
     df = datasets.load(spark, "DT")
-    assert df.select("w").distinct().count() > 10  # not all-equal placeholder
+    assert df.select("w").distinct().count() > 10  # not all equal
+
+
+def test_rw_load_runs_no_extra_jobs(spark):
+    """RW weights are computed before the DataFrame exists: loading DT (RW)
+    costs the Spark jobs that loading GH (uniform weights) does."""
+    def jobs(name):
+        return spark_jobs(spark, lambda: checkpoint(datasets.load(spark, name)))
+
+    assert jobs("DT") == jobs("GH")
 
 
 class TestMlComedyLike:

@@ -10,9 +10,9 @@ from repro.core.index_bicore import build_iv
 from repro.core.index_bs import build_ibs_alpha, build_ibs_beta, save_index
 from repro.core.index_delta import build_idelta
 from repro.graph.decomposition import alpha_offsets, beta_offsets, coreness
-from repro.graph.schema import EDGE_SCHEMA, checkpoint, edges_df
+from repro.graph.schema import EDGE_SCHEMA, edges_df
 from repro.reference import ref_graph as R
-from tests.util import bad_fig2, rand_bipartite
+from tests.util import bad_fig2, rand_bipartite, spark_jobs
 
 _EDGE = [("u", "bigint"), ("v", "bigint"), ("w", "double")]
 _OFFS = [("off_u", "int"), ("off_v", "int")]
@@ -82,21 +82,12 @@ def test_job_count_independent_of_delta(spark, fig2_edges, build):
     onto the edges on the driver, not by per-sweep or per-slice Spark
     jobs."""
     run, most = _JOBS[build]
-    sc = spark.sparkContext
     dense = rand_bipartite(11, n_u=12, n_l=12, m=300)
     assert R.delta(dense) > R.delta(fig2_edges) == 3
-    jobs = []
-    for name, es in (("fig2", fig2_edges), ("dense", dense)):
-        # a materialised input, as the jobs and the benchmark load it: the
-        # collect of a repartitioned one is two jobs under adaptive execution
-        df = checkpoint(edges_df(spark, es))
-        group = f"build-jobs-{build}-{name}"
-        sc.setLocalProperty("spark.jobGroup.id", group)
-        try:
-            run(df, es)
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-        jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
+    jobs = [
+        spark_jobs(spark, lambda: run(edges_df(spark, es), es))
+        for es in (fig2_edges, dense)
+    ]
     assert 0 < jobs[0] == jobs[1] <= most
 
 

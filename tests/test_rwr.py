@@ -1,19 +1,20 @@
 """Random-walk-with-restart weight substrate: stochastic invariants and a
-numpy power-iteration cross-check."""
+loop-based power-iteration cross-check."""
 import numpy as np
+import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro.graph.schema import edges_df
 from repro.weights.rwr import rwr_scores, rwr_weights
 from tests.util import rand_bipartite
 
 EDGES = rand_bipartite(31, n_u=8, n_l=6, m=30)
 
 
-@pytest.fixture(scope="module")
-def df(spark):
-    return edges_df(spark, EDGES)
+def _pdf(edges):
+    return pd.DataFrame(edges, columns=["u", "v", "w"])
+
+
+PDF = _pdf(EDGES)
 
 
 def _numpy_scores(edges, damping=0.85, iters=12):
@@ -37,46 +38,46 @@ def _numpy_scores(edges, damping=0.85, iters=12):
     return {x: s[i] for x, i in idx.items()}
 
 
-def test_scores_match_numpy(df):
-    got = {(r.side, r.id): r.score for r in rwr_scores(df).collect()}
+def _scores(edges):
+    s = rwr_scores(_pdf(edges))
+    return {(side, int(i)): score for side, i, score in s.itertuples(index=False)}
+
+
+def test_scores_match_numpy():
+    got = _scores(EDGES)
     exp = _numpy_scores(EDGES)
     assert got.keys() == exp.keys()
     for k in exp:
         assert got[k] == pytest.approx(exp[k], rel=1e-9)
 
 
-def test_scores_sum_to_one(df):
-    total = rwr_scores(df).agg(F.sum("score")).first()[0]
-    assert total == pytest.approx(1.0, rel=1e-6)
+def test_scores_sum_to_one():
+    assert rwr_scores(PDF)["score"].sum() == pytest.approx(1.0, rel=1e-6)
 
 
-def test_scores_positive(df):
-    assert rwr_scores(df).where(F.col("score") <= 0).count() == 0
+def test_scores_positive():
+    assert (rwr_scores(PDF)["score"] > 0).all()
 
 
-def test_hub_scores_higher(spark):
-    star = [(1, v, 1.0) for v in range(6)] + [(2, 0, 1.0)]
-    s = {(r.side, r.id): r.score for r in rwr_scores(edges_df(spark, star)).collect()}
+def test_hub_scores_higher():
+    s = _scores([(1, v, 1.0) for v in range(6)] + [(2, 0, 1.0)])
     assert s[("u", 1)] > s[("u", 2)]
 
 
-def test_weights_in_unit_range(df):
-    w = rwr_weights(df)
-    lo, hi = w.agg(F.min("w"), F.max("w")).first()
-    assert 0 < lo <= hi <= 1.0
+def test_weights_in_unit_range():
+    w = rwr_weights(PDF)["w"]
+    assert 0 < w.min() <= w.max() <= 1.0
 
 
-def test_weights_cover_all_edges(df):
-    assert rwr_weights(df).count() == len(EDGES)
+def test_weights_cover_all_edges():
+    out = rwr_weights(PDF)
+    assert list(zip(out["u"], out["v"])) == [(u, v) for u, v, _ in EDGES]
+    assert PDF["w"].tolist() == [w for _, _, w in EDGES]  # input left as it was
 
 
-def test_weights_deterministic(df):
-    a = {(r.u, r.v): r.w for r in rwr_weights(df).collect()}
-    b = {(r.u, r.v): r.w for r in rwr_weights(df).collect()}
-    assert a == b
+def test_weights_deterministic():
+    assert rwr_weights(PDF).equals(rwr_weights(PDF))
 
 
-def test_single_edge_graph(spark):
-    one = edges_df(spark, [(1, 1, 1.0)])
-    rows = rwr_weights(one).collect()
-    assert len(rows) == 1 and rows[0].w == 1.0
+def test_single_edge_graph():
+    assert rwr_weights(_pdf([(1, 1, 1.0)]))["w"].tolist() == [1.0]

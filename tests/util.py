@@ -3,6 +3,7 @@ and edge-set comparison utilities used across the suite."""
 from __future__ import annotations
 
 import math
+import uuid
 
 import numpy as np
 
@@ -46,6 +47,19 @@ def bad_fig2(fig2_edges, bad):
     if bad == "dup":
         return fig2_edges + [(3, 1, 2.0)]
     return [(u, v, math.nan if (u, v) == (3, 1) else w) for u, v, w in fig2_edges]
+
+
+def spark_jobs(spark, fn) -> int:
+    """The number of Spark jobs ``fn()`` submits, read from the status
+    tracker under a job group of its own."""
+    sc = spark.sparkContext
+    group = f"spark-jobs-{uuid.uuid4()}"
+    sc.setLocalProperty("spark.jobGroup.id", group)
+    try:
+        fn()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    return len(sc.statusTracker().getJobIdsForGroup(group))
 
 
 def ref_slices(edges):
