@@ -20,7 +20,6 @@ the same materialised layout.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from collections.abc import Callable, Iterable
 from itertools import groupby
 from operator import itemgetter
@@ -29,7 +28,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import types as T
 
 from repro.graph.components import Edge, on_driver
-from repro.graph.decomposition import offset_peel
+from repro.graph.decomposition import max_degree, offset_peel
 from repro.graph.schema import checkpoint, struct
 
 _IBS_ALPHA = struct("alpha int, u long, v long, w double, off_u int, off_v int")
@@ -75,10 +74,8 @@ def _ibs(edges: DataFrame, held: str, cap: int | None, schema) -> DataFrame:
     """The basic index whose slices hold ``held``'s bound at 1, 2, ... up
     to that layer's largest degree (or ``cap``): each slice is the
     (α,1)-core (or (1,β)-core) with both endpoints' offsets."""
-    layer = "uv".index(held)
-
     def kernel(rows: list[Edge]) -> list[tuple]:
-        top = max(Counter(e[layer] for e in rows).values(), default=0)
+        top = max_degree(rows, held)
         n = top if cap is None else min(top, cap)
         return annotate(rows, offset_peel(rows, range(1, n + 1), held), lambda _: 1)
 

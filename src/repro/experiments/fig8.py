@@ -20,7 +20,7 @@ from repro.core.index_bs import build_ibs_alpha, build_ibs_beta, index_disk_byte
 from repro.core.index_delta import build_idelta
 from repro.core.query import q_bicore, q_online, q_opt
 from repro.experiments.table3 import pick_queries, timed
-from repro.graph.decomposition import coreness, delta
+from repro.graph.decomposition import delta
 from repro.graph.schema import checkpoint
 
 
@@ -38,7 +38,7 @@ def run(
     builds on huge α_max/β_max datasets — capped builds are flagged).
     """
     edges = checkpoint(datasets.load(spark, dataset))
-    d = delta(edges, coreness_df=coreness(edges))
+    d = delta(edges)
     a = b = max(2, round(0.7 * d))
 
     # Each build returns its index materialised.
@@ -70,9 +70,9 @@ def run(
 
     queries = pick_queries(built["I_delta"], a, b, n=3)
     algs = {
-        "Q_o": lambda q: q_online(edges, q, "u", a, b).count(),
-        "Q_v": lambda q: q_bicore(built["I_v"], edges, q, "u", a, b).count(),
-        "Q_opt": lambda q: q_opt(built["I_delta"], q, "u", a, b).count(),
+        "Q_o": lambda q: len(q_online(edges, q, "u", a, b).collect()),
+        "Q_v": lambda q: len(q_bicore(built["I_v"], edges, q, "u", a, b).collect()),
+        "Q_opt": lambda q: len(q_opt(built["I_delta"], q, "u", a, b).collect()),
     }
     query_rows = []
     for name, fn in algs.items():

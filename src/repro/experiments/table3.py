@@ -24,7 +24,7 @@ from repro import datasets
 from repro.core.index_delta import build_idelta, core_edges
 from repro.core.query import q_opt
 from repro.core.scs import scs_baseline, scs_expand, scs_peel
-from repro.graph.decomposition import coreness, delta
+from repro.graph.decomposition import delta
 from repro.graph.schema import checkpoint, normalize
 from repro.weights import distributions as wd
 from repro.weights.rwr import rwr_weights
@@ -104,7 +104,7 @@ def run(spark: SparkSession, *, n_queries: int = 3) -> pd.DataFrame:
     (± std in companion columns)."""
     variants = weighted_variants(spark)
     structure = variants["AE"]
-    d = delta(structure, coreness_df=coreness(structure))
+    d = delta(structure)
     a = b = max(2, round(0.7 * d))
     idelta = build_idelta(structure, delta_val=d)
     queries = pick_queries(idelta, a, b, n=n_queries)
@@ -118,13 +118,13 @@ def run(spark: SparkSession, *, n_queries: int = 3) -> pd.DataFrame:
         idx = reweight_index(idelta, edges)
         for q in queries:
             results["SCS-Peel"][dist].append(timed(
-                lambda: scs_peel(q_opt(idx, q, "u", a, b), q, "u", a, b).count()
+                lambda: scs_peel(q_opt(idx, q, "u", a, b), q, "u", a, b).collect()
             )[1])
             results["SCS-Expand"][dist].append(timed(
-                lambda: scs_expand(q_opt(idx, q, "u", a, b), q, "u", a, b).count()
+                lambda: scs_expand(q_opt(idx, q, "u", a, b), q, "u", a, b).collect()
             )[1])
             results["SCS-Baseline"][dist].append(timed(
-                lambda: scs_baseline(edges, q, "u", a, b).count()
+                lambda: scs_baseline(edges, q, "u", a, b).collect()
             )[1])
     rows = []
     for alg, per_dist in results.items():

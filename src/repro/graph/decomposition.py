@@ -19,16 +19,23 @@ builds (``repro.core.index_*``) run these peels inside their own
 ``on_driver`` call. The driver therefore holds the edge list and every
 requested slice's offsets, which is fine at this repo's ≤ 25,000 edges
 (``repro.datasets`` builds every graph in driver memory anyway).
+
+The scalar statistics come from rows already on the driver, with no Spark
+job after the collect: :func:`delta` is the largest ``core`` in the rows
+of :func:`coreness` (a local relation, so reading it runs no job), and
+:func:`alpha_max` / :func:`beta_max` are the largest degree of one layer
+in the collected edge rows (:func:`max_degree`, which the ``I_bs`` builds
+also use).
 """
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.graph.components import Vertex, on_driver
-from repro.graph.schema import degrees, struct
+from repro.graph.components import Edge, Vertex, collect_edges, on_driver
+from repro.graph.schema import struct
 
 
 def _graph(edges: Iterable[tuple]) -> tuple[list[Vertex], list[list[int]]]:
@@ -149,22 +156,33 @@ def coreness(edges: DataFrame) -> DataFrame:
 
 
 def delta(edges: DataFrame, *, coreness_df: DataFrame | None = None) -> int:
-    """Degeneracy δ (Definition 7). 0 for an empty graph."""
+    """Degeneracy δ (Definition 7): the largest ``core`` in the rows of
+    ``coreness_df`` (by default ``coreness(edges)``). 0 for an empty graph.
+
+    The rows are read on the driver, not aggregated in Spark: ``coreness``
+    returns a local relation, so collecting it runs no Spark job, where a
+    ``max`` over it runs two. ``delta(edges)`` is ``coreness``'s one
+    collect.
+    """
     c = coreness_df if coreness_df is not None else coreness(edges)
-    row = c.agg(F.max("core")).first()
-    return int(row[0]) if row[0] is not None else 0
+    return max((row["core"] for row in c.collect()), default=0)
+
+
+def max_degree(rows: list[Edge], side: str) -> int:
+    """The largest degree in layer ``side`` (``"u"`` or ``"v"``) of the
+    edge rows; 0 when there are none."""
+    layer = "uv".index(side)
+    return max(Counter(e[layer] for e in rows).values(), default=0)
 
 
 def alpha_max(edges: DataFrame) -> int:
     """Largest α with a non-empty (α,1)-core: the max upper-layer degree
-    (β=1 removals never cascade back into the upper layer)."""
-    du, _ = degrees(edges)
-    row = du.agg(F.max("deg")).first()
-    return int(row[0]) if row[0] is not None else 0
+    (β=1 removals never cascade back into the upper layer), from one
+    checked collect."""
+    return max_degree(collect_edges(edges), "u")
 
 
 def beta_max(edges: DataFrame) -> int:
-    """Largest β with a non-empty (1,β)-core: the max lower-layer degree."""
-    _, dv = degrees(edges)
-    row = dv.agg(F.max("deg")).first()
-    return int(row[0]) if row[0] is not None else 0
+    """Largest β with a non-empty (1,β)-core: the max lower-layer degree,
+    from one checked collect."""
+    return max_degree(collect_edges(edges), "v")

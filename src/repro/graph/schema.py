@@ -67,13 +67,17 @@ def degrees(edges: DataFrame) -> tuple[DataFrame, DataFrame]:
 
 
 def graph_stats(edges: DataFrame) -> dict[str, int]:
-    """``{m, n_u, n_l}`` of the edge list in one aggregation."""
-    row = edges.agg(
-        F.count(F.lit(1)).alias("m"),
-        F.countDistinct("u").alias("n_u"),
-        F.countDistinct("v").alias("n_l"),
-    ).first()
-    return {"m": row["m"], "n_u": row["n_u"], "n_l": row["n_l"]}
+    """``{m, n_u, n_l}`` of the edge list, counted on the driver from one
+    checked collect (``components.collect_edges``), not by a Spark
+    aggregate."""
+    from repro.graph.components import collect_edges  # it imports this module
+
+    rows = collect_edges(edges)
+    return {
+        "m": len(rows),
+        "n_u": len({u for u, _, _ in rows}),
+        "n_l": len({v for _, v, _ in rows}),
+    }
 
 
 def has_vertex(edges: DataFrame, q: int, qside: str) -> bool:
